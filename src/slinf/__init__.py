@@ -6,7 +6,17 @@ oracle, and the ``verify`` suites replay each one exhaustively at desk
 scale; nothing closed-form is trusted unchecked.
 """
 
-from .cls_codes import ClsCode, ExtSequence, code_included, normalize, seq_leq_shifted, union_included
+from .cls_codes import (
+    ClsCode,
+    ExtSequence,
+    code_included,
+    code_included_oracle,
+    code_rows,
+    normalize,
+    seq_leq_shifted,
+    seq_slack,
+    union_included,
+)
 from .dominance import (
     dominates_interlace,
     dominates_oracle,
@@ -29,6 +39,7 @@ from .ideals import (
     enumerate_diagrams,
     enumerate_ideals,
     highest_weight,
+    inclusion_rows,
     is_contained,
     is_maximal,
     make_weight,

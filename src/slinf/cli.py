@@ -84,6 +84,12 @@ def _cmd_dominates(args) -> int:
         return _finish_bool(dominates_oracle(lam, mu))
     if args.method == "interlace":
         return _finish_bool(dominates_interlace(lam, mu))
+    # the gap criterion characterizes dominance only from four times the width on
+    if len(lam) < 4 * len(mu):
+        raise ValueError(
+            f"criterion4x needs the first partition at least 4 times as wide as the second, "
+            f"got {len(lam)} < 4 * {len(mu)}"
+        )
     return _finish_bool(gap_criterion(lam, mu))
 
 
@@ -246,6 +252,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 means "false", so anything unexpected is an error
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: unexpected {message}", file=sys.stderr)
         return 2
 
 

@@ -135,8 +135,45 @@ def seq_leq_shifted(inner: ExtSequence, outer: ExtSequence, a: int) -> bool:
     return all(inner.value_at(i) <= outer.value_at(i) - a for i in range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def seq_slack(inner: ExtSequence, outer: ExtSequence) -> int | float:
+    """Largest shift a with inner <= outer - a pointwise: min_i (outer_i - inner_i).
+
+    Taken over the positions seq_leq_shifted reads.  A position where outer
+    is infinite imposes no bound; one where only inner is infinite gives
+    -inf ("never").  The last position compares the two finite tails, so the
+    result is an integer or -inf, and seq_leq_shifted(inner, outer, a) holds
+    exactly when 0 <= a <= seq_slack(inner, outer).
+    """
+    n = max(inner.significant_length, outer.significant_length) + 1
+    return min(outer.value_at(i) - inner.value_at(i) for i in range(1, n + 1) if outer.value_at(i) != INF)
+
+
 def code_included(inner: ClsCode, outer: ClsCode) -> bool:
     """Inclusion of coherent systems decided on their codes.
+
+    True iff d = m - m' >= 0 (m, m' the limits of outer and inner) and some
+    split a + b = d with a, b >= 0 has inner.p <= outer.p - a and
+    inner.q <= outer.q - b pointwise.  Decided in closed form: with
+    s_p = seq_slack(inner.p, outer.p) and s_q likewise, the split exists iff
+    s_p >= 0, s_q >= 0 and s_p + s_q >= d.  This is exact because
+    seq_leq_shifted is antitone in the shift, so the admissible a form the
+    interval [max(0, d - s_q), min(d, s_p)].  ``code_included_oracle`` keeps
+    the split search; the ``code-slack`` suite replays one against the
+    other.  Insensitive to normalization.
+    """
+    d = outer.limit - inner.limit
+    if d < 0:
+        return False
+    slack_p = seq_slack(inner.p, outer.p)
+    if slack_p < 0:
+        return False
+    slack_q = seq_slack(inner.q, outer.q)
+    return slack_q >= 0 and slack_p + slack_q >= d
+
+
+def code_included_oracle(inner: ClsCode, outer: ClsCode) -> bool:
+    """Split-search reference for code_included: the same relation, searched.
 
     True iff the limits satisfy m' <= m and, for some split a + b = m - m'
     with a, b >= 0, both halves compare pointwise:
@@ -150,6 +187,37 @@ def code_included(inner: ClsCode, outer: ClsCode) -> bool:
         seq_leq_shifted(inner.p, outer.p, a) and seq_leq_shifted(inner.q, outer.q, d - a)
         for a in range(d + 1)
     )
+
+
+def code_rows(codes) -> list[int]:
+    """The code order as bitset rows: bit j of row i iff code_included(codes[i], codes[j]).
+
+    The sequences are interned and their slacks tabulated once, so the
+    relation costs one seq_slack per pair of distinct sequences plus a table
+    lookup per pair of codes.
+    """
+    index: dict[ExtSequence, int] = {}
+    keys = [(index.setdefault(c.p, len(index)), index.setdefault(c.q, len(index)), c.limit) for c in codes]
+    seqs = list(index)
+    slack = [[seq_slack(a, b) for b in seqs] for a in seqs]
+    rows = []
+    for p, q, m in keys:
+        sp, sq = slack[p], slack[q]
+        # the slack criterion of code_included, written out; bit j is the j-th digit from the right
+        bits = "".join(
+            "1" if m2 >= m and sp[p2] >= 0 and sq[q2] >= 0 and sp[p2] + sq[q2] >= m2 - m else "0"
+            for p2, q2, m2 in reversed(keys)
+        )
+        rows.append(int(bits, 2))
+    return rows
+
+
+def bit_indices(mask: int):
+    """Indices of the set bits of a bitset row, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def union_included(inner_codes, outer_codes) -> bool:

@@ -9,49 +9,52 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .ideals import Ideal, enumerate_ideals, is_contained
+from .cls_codes import bit_indices
+from .ideals import Ideal, enumerate_ideals, inclusion_rows
 
 
 def covering_relations(ideals: Iterable[Ideal]) -> list[tuple[Ideal, Ideal]]:
-    """Covering pairs (inner, outer) of the inclusion order restricted to the family."""
+    """Covering pairs (inner, outer) of the inclusion order restricted to the family, sorted.
+
+    A bitset transitive reduction (Aho, Garey and Ullman 1972): with strict(a)
+    the ideals strictly above a, covers(a) = strict(a) minus the union of
+    strict(c) over c in strict(a).
+    """
     family = sorted(set(ideals), key=Ideal.sort_key)
-    strict = {
-        (a, b)
-        for a in family
-        for b in family
-        if a != b and is_contained(a, b)
-    }
-    covers = [
-        (a, b)
-        for (a, b) in strict
-        if not any((a, c) in strict and (c, b) in strict for c in family)
-    ]
-    return sorted(covers, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+    strict = [row & ~(1 << i) for i, row in enumerate(inclusion_rows(family))]
+    covers = []
+    for a, row in zip(family, strict):
+        above = 0
+        for c in bit_indices(row):
+            above |= strict[c]
+        covers.extend((a, family[b]) for b in bit_indices(row & ~above))
+    return covers
+
+
+def _graph(ideals: Iterable[Ideal]) -> tuple[list[Ideal], list[tuple[int, int]]]:
+    """Nodes in canonical order and covering edges as (inner, outer) node indices, sorted."""
+    family = sorted(set(ideals), key=Ideal.sort_key)
+    index = {node: i for i, node in enumerate(family)}
+    return family, [(index[a], index[b]) for a, b in covering_relations(family)]
 
 
 def hasse_dot(ideals: Sequence[Ideal]) -> str:
     """DOT digraph of the covering relations, edges from smaller to larger ideal."""
-    family = sorted(set(ideals), key=Ideal.sort_key)
+    family, edges = _graph(ideals)
     lines = ["digraph ideal_inclusions {"]
-    for node in family:
-        lines.append(f'  "{node}";')
-    for a, b in covering_relations(family):
-        lines.append(f'  "{a}" -> "{b}";')
+    lines.extend(f'  "{node}";' for node in family)
+    lines.extend(f'  "{family[a]}" -> "{family[b]}";' for a, b in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def hasse_adjacency(ideals: Sequence[Ideal]) -> dict:
     """The same graph as adjacency lists: nodes in canonical order, edge targets by index."""
-    family = sorted(set(ideals), key=Ideal.sort_key)
-    index = {node: i for i, node in enumerate(family)}
+    family, edges = _graph(ideals)
     adjacency: list[list[int]] = [[] for _ in family]
-    for a, b in covering_relations(family):
-        adjacency[index[a]].append(index[b])
-    return {
-        "nodes": [node.to_json() for node in family],
-        "adjacency": [sorted(row) for row in adjacency],
-    }
+    for a, b in edges:
+        adjacency[a].append(b)
+    return {"nodes": [node.to_json() for node in family], "adjacency": adjacency}
 
 
 def family_hasse(max_x: int, max_y: int, max_cols: int, max_len: int, fmt: str = "dot") -> str:

@@ -21,7 +21,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .cls_codes import ClsCode, ExtSequence, union_included
+from .cls_codes import ClsCode, ExtSequence, code_rows, union_included
 from .partitions import YoungDiagram, as_young_diagram
 
 
@@ -118,6 +118,32 @@ def is_contained(inner: Ideal, outer: Ideal) -> bool:
     if outer.zero:
         return False
     return union_included(cls_union(outer), cls_union(inner))
+
+
+def inclusion_rows(ideals: Sequence[Ideal]) -> list[int]:
+    """The inclusion order as bitset rows: bit j of row i iff is_contained(ideals[i], ideals[j]).
+
+    Built through the code route in one pass: each nonzero ideal becomes a
+    bitmask over the distinct codes of the family, and code_rows gives the
+    code order among them.  cov_i, the codes included in some code of ideal
+    i, then decides the whole row: ideal i lies below ideal j iff every code
+    of j is in cov_i.  The zero ideal lies below everything.
+    """
+    index: dict[ClsCode, int] = {}
+    masks = [
+        None if ideal.zero else sum(1 << index.setdefault(c, len(index)) for c in cls_union(ideal))
+        for ideal in ideals
+    ]
+    codes = code_rows(list(index))
+    full = (1 << len(masks)) - 1
+    rows = []
+    for mask in masks:
+        if mask is None:
+            rows.append(full)
+            continue
+        cov = sum(1 << k for k, row in enumerate(codes) if row & mask)
+        rows.append(sum(1 << j for j, other in enumerate(masks) if other is not None and not other & ~cov))
+    return rows
 
 
 def _columns_fit(cols: YoungDiagram, outer_cols: YoungDiagram, drop: int, shove: int, padded: bool) -> bool:

@@ -18,7 +18,15 @@ from importlib import resources
 from itertools import combinations_with_replacement
 from pathlib import Path
 
-from .cls_codes import ClsCode, ExtSequence, code_included, union_included
+from .cls_codes import (
+    ClsCode,
+    ExtSequence,
+    bit_indices,
+    code_included,
+    code_included_oracle,
+    code_rows,
+    union_included,
+)
 from .dominance import (
     dominates_interlace,
     dominates_oracle,
@@ -35,6 +43,7 @@ from .ideals import (
     code_sequence,
     diagram_order_condition,
     enumerate_ideals,
+    inclusion_rows,
     is_contained,
 )
 from .local_systems import avoiding_system_contains, gap_union_contains
@@ -147,26 +156,27 @@ def suite_names() -> list[str]:
 # dominance suites
 
 
-def _suite_lgts2(grid: dict, ceiling: int) -> VerifyReport:
-    lam_width, lam_bound = grid["lam_width"], grid["lam_bound"]
-    mu_widths, mu_bound = list(grid["mu_widths"]), grid["mu_bound"]
-    n_lams = _class_count(lam_width, lam_bound)
-    n_mus = sum(_class_count(w, mu_bound) for w in mu_widths)
-    checked = n_lams * n_mus
-    _guard(checked, ceiling, "lgts2")
-    lams = enumerate_classes(lam_width, lam_bound)
-    bad = _Collector()
-    for lam in lams:
-        for w in mu_widths:
-            for mu in enumerate_classes(w, mu_bound):
-                closed = gap_criterion(mu, lam)
-                oracle = dominates_oracle(mu, lam)
-                if closed != oracle:
-                    bad.add({
-                        "lam": list(lam), "mu": list(mu),
-                        "gap_criterion": closed, "chain_oracle": oracle,
-                    })
-    return _finish("lgts2", grid, checked, bad, {"lam_classes": n_lams, "mu_classes": n_mus})
+def _agreement_suite(suite: str, first: str, first_fn, second: str, second_fn):
+    """A suite replaying two predicates of (lam, mu) against each other, narrow lam by wide mu."""
+
+    def run(grid: dict, ceiling: int) -> VerifyReport:
+        lam_width, lam_bound = grid["lam_width"], grid["lam_bound"]
+        mu_widths, mu_bound = list(grid["mu_widths"]), grid["mu_bound"]
+        n_lams = _class_count(lam_width, lam_bound)
+        n_mus = sum(_class_count(w, mu_bound) for w in mu_widths)
+        checked = n_lams * n_mus
+        _guard(checked, ceiling, suite)
+        bad = _Collector()
+        for lam in enumerate_classes(lam_width, lam_bound):
+            for w in mu_widths:
+                for mu in enumerate_classes(w, mu_bound):
+                    a = first_fn(lam, mu)
+                    b = second_fn(lam, mu)
+                    if a != b:
+                        bad.add({"lam": list(lam), "mu": list(mu), first: a, second: b})
+        return _finish(suite, grid, checked, bad, {"lam_classes": n_lams, "mu_classes": n_mus})
+
+    return run
 
 
 def _suite_interlace(grid: dict, ceiling: int) -> VerifyReport:
@@ -225,93 +235,73 @@ def _suite_lemmas(grid: dict, ceiling: int) -> VerifyReport:
     return _finish("lemmas", grid, checked, bad, {"hypothesis_hits": hits})
 
 
-def _suite_pmain(grid: dict, ceiling: int) -> VerifyReport:
-    lam_width, lam_bound = grid["lam_width"], grid["lam_bound"]
-    mu_widths, mu_bound = list(grid["mu_widths"]), grid["mu_bound"]
-    n_lams = _class_count(lam_width, lam_bound)
-    n_mus = sum(_class_count(w, mu_bound) for w in mu_widths)
-    checked = n_lams * n_mus
-    _guard(checked, ceiling, "pmain")
-    bad = _Collector()
-    for lam in enumerate_classes(lam_width, lam_bound):
-        for w in mu_widths:
-            for mu in enumerate_classes(w, mu_bound):
-                avoiding = avoiding_system_contains(lam, mu)
-                closed = gap_union_contains(lam, mu)
-                if avoiding != closed:
-                    bad.add({
-                        "lam": list(lam), "mu": list(mu),
-                        "avoiding_system": avoiding, "gap_union": closed,
-                    })
-    return _finish("pmain", grid, checked, bad, {"lam_classes": n_lams, "mu_classes": n_mus})
-
-
 # ---------------------------------------------------------------------------
 # partial-order machinery (relation rows as integer bitsets)
 
 
-def _partial_order_violations(items, rows: list[int], render) -> tuple[int, list[dict]]:
-    """Reflexivity/antisymmetry/transitivity violations; returns (#containment checks, list)."""
-    bad = []
+def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -> int:
+    """Add reflexivity/antisymmetry/transitivity violations to bad; returns #containment checks."""
     n = len(items)
     for i in range(n):
         if not (rows[i] >> i) & 1:
-            bad.append({"law": "reflexivity", "item": render(items[i])})
+            bad.add({"law": "reflexivity", "item": render(items[i])})
     containment_checks = 0
     for i in range(n):
-        m = rows[i] & ~(1 << i)
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
+        for j in bit_indices(rows[i] & ~(1 << i)):
             if i < j and (rows[j] >> i) & 1:
-                bad.append({"law": "antisymmetry", "a": render(items[i]), "b": render(items[j])})
+                bad.add({"law": "antisymmetry", "a": render(items[i]), "b": render(items[j])})
             containment_checks += 1
             missing = rows[j] & ~rows[i]
             if missing:
                 k = (missing & -missing).bit_length() - 1
-                bad.append({
+                bad.add({
                     "law": "transitivity",
                     "a": render(items[i]), "b": render(items[j]), "c": render(items[k]),
                 })
-    return containment_checks, bad
+    return containment_checks
 
 
-def _enumerate_ext_sequences(max_inf: int, max_head_len: int, max_entry: int, max_tail: int) -> list[ExtSequence]:
+def _code_grid(grid: dict) -> tuple[list[ExtSequence], list[ClsCode]]:
+    """The grid's sequences and every code built from two of them, in canonical order."""
     seqs = []
-    for inf_count in range(max_inf + 1):
-        for tail in range(max_tail + 1):
-            for hlen in range(max_head_len + 1):
-                for head in combinations_with_replacement(range(max_entry, tail, -1), hlen):
+    for inf_count in range(grid["max_inf"] + 1):
+        for tail in range(grid["max_tail"] + 1):
+            for hlen in range(grid["max_head_len"] + 1):
+                for head in combinations_with_replacement(range(grid["max_entry"], tail, -1), hlen):
                     seqs.append(ExtSequence(inf_count, head, tail))
-    return seqs
+    codes = sorted((ClsCode(p, q) for p in seqs for q in seqs if p.tail == q.tail), key=ClsCode.sort_key)
+    return seqs, codes
 
 
 def _suite_tiap_order(grid: dict, ceiling: int) -> VerifyReport:
-    seqs = _enumerate_ext_sequences(
-        grid["max_inf"], grid["max_head_len"], grid["max_entry"], grid["max_tail"]
-    )
-    codes = [ClsCode(p, q) for p in seqs for q in seqs if p.tail == q.tail]
-    codes.sort(key=ClsCode.sort_key)
+    seqs, codes = _code_grid(grid)
     n = len(codes)
     # n*n relation evaluations, then at most n*n containment checks for the
     # composed relation; all triples are covered through the composition.
     projected = 2 * n * n + n
     _guard(projected, ceiling, "tiap-order")
-    rows = [0] * n
-    for i, ci in enumerate(codes):
-        row = 0
-        for j, cj in enumerate(codes):
-            if code_included(ci, cj):
-                row |= 1 << j
-        rows[i] = row
-    containment_checks, violations = _partial_order_violations(
-        codes, rows, lambda c: c.to_json()
-    )
     bad = _Collector()
-    for v in violations:
-        bad.add(v)
+    containment_checks = _partial_order_violations(codes, code_rows(codes), ClsCode.to_json, bad)
     checked = n * n + n + containment_checks
     return _finish("tiap-order", grid, checked, bad, {"codes": n, "sequences": len(seqs)})
+
+
+def _suite_code_slack(grid: dict, ceiling: int) -> VerifyReport:
+    seqs, codes = _code_grid(grid)
+    n = len(codes)
+    _guard(n * n, ceiling, "code-slack")
+    bad = _Collector()
+    for inner, row in zip(codes, code_rows(codes)):
+        for j, outer in enumerate(codes):
+            slack = code_included(inner, outer)
+            in_rows = bool((row >> j) & 1)
+            oracle = code_included_oracle(inner, outer)
+            if not slack == in_rows == oracle:
+                bad.add({
+                    "inner": inner.to_json(), "outer": outer.to_json(),
+                    "slack": slack, "code_rows": in_rows, "split_search": oracle,
+                })
+    return _finish("code-slack", grid, n * n, bad, {"codes": n, "sequences": len(seqs)})
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +324,8 @@ def _suite_ideal_order(grid: dict, ceiling: int) -> VerifyReport:
     projected = 2 * n * n + n
     _guard(projected, ceiling, "ideal-order")
     family = _family(grid)
-    rows = [0] * len(family)
-    for i, a in enumerate(family):
-        row = 0
-        for j, b in enumerate(family):
-            if is_contained(a, b):
-                row |= 1 << j
-        rows[i] = row
-    containment_checks, violations = _partial_order_violations(
-        family, rows, lambda ideal: ideal.to_json()
-    )
     bad = _Collector()
-    for v in violations:
-        bad.add(v)
+    containment_checks = _partial_order_violations(family, inclusion_rows(family), Ideal.to_json, bad)
     checked = n * n + n + containment_checks
     return _finish("ideal-order", grid, checked, bad, {"family": n})
 
@@ -378,18 +357,18 @@ def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
     _guard(checked, ceiling, "acc")
     family = _family(grid)
     bad = _Collector()
-    supersets: dict[Ideal, list[Ideal]] = {ideal: [] for ideal in family}
-    for inner in family:
-        for outer in family:
-            if inner != outer and is_contained(inner, outer):
-                supersets[inner].append(outer)
-                if not acc_measure(outer) < acc_measure(inner):
-                    bad.add({
-                        "law": "measure-not-decreasing",
-                        "inner": inner.to_json(), "outer": outer.to_json(),
-                        "inner_measure": list(acc_measure(inner)),
-                        "outer_measure": list(acc_measure(outer)),
-                    })
+    rows = inclusion_rows(family)
+    supersets: dict[Ideal, list[Ideal]] = {}
+    for i, inner in enumerate(family):
+        supersets[inner] = [family[j] for j in bit_indices(rows[i] & ~(1 << i))]
+        for outer in supersets[inner]:
+            if not acc_measure(outer) < acc_measure(inner):
+                bad.add({
+                    "law": "measure-not-decreasing",
+                    "inner": inner.to_json(), "outer": outer.to_json(),
+                    "inner_measure": list(acc_measure(inner)),
+                    "outer_measure": list(acc_measure(outer)),
+                })
     rng = random.Random(int(grid.get("seed", 0)))
     step_cap = len(family) + 1
     longest = 0
@@ -415,15 +394,16 @@ def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     _guard(checked, ceiling, "split-consistency")
     family = _family(grid)
     bad = _Collector()
-    for inner in family:
+    rows = inclusion_rows(family)
+    # the single split (c, d) = (x, 0) of each outer ideal's union
+    singles = [
+        ClsCode(code_sequence(outer.x, outer.y, outer.yl), code_sequence(0, outer.y, outer.yr))
+        for outer in family
+    ]
+    for inner, row in zip(family, rows):
         inner_union = cls_union(inner)
-        for outer in family:
-            full = is_contained(inner, outer)
-            # the single split (c, d) = (x, 0) of the outer ideal's union
-            single_code = ClsCode(
-                code_sequence(outer.x, outer.y, outer.yl),
-                code_sequence(0, outer.y, outer.yr),
-            )
+        for j, (outer, single_code) in enumerate(zip(family, singles)):
+            full = bool((row >> j) & 1)
             single = union_included((single_code,), inner_union)
             if full != single:
                 bad.add({
@@ -447,9 +427,9 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     required_outer = AUGMENTATION_IDEAL
     required_seen = False
     padded_unsound = 0
-    for inner in family:
-        for outer in family:
-            actual = is_contained(inner, outer)
+    for inner, row in zip(family, inclusion_rows(family)):
+        for j, outer in enumerate(family):
+            actual = bool((row >> j) & 1)
             padded = diagram_order_condition(inner, outer, padded=True)
             loose = diagram_order_condition(inner, outer, padded=False)
             if padded and not actual:
@@ -493,12 +473,23 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     return _finish("tord-discrepancy", grid, checked, bad, details)
 
 
+# the lambdas look their predicates up when called, so wrappers later set on
+# this module's names still take effect
 _SUITES = {
-    "lgts2": _suite_lgts2,
+    "lgts2": _agreement_suite(
+        "lgts2",
+        "gap_criterion", lambda lam, mu: gap_criterion(mu, lam),
+        "chain_oracle", lambda lam, mu: dominates_oracle(mu, lam),
+    ),
     "interlace": _suite_interlace,
     "lemmas": _suite_lemmas,
-    "pmain": _suite_pmain,
+    "pmain": _agreement_suite(
+        "pmain",
+        "avoiding_system", lambda lam, mu: avoiding_system_contains(lam, mu),
+        "gap_union", lambda lam, mu: gap_union_contains(lam, mu),
+    ),
     "tiap-order": _suite_tiap_order,
+    "code-slack": _suite_code_slack,
     "ideal-order": _suite_ideal_order,
     "maximal": _suite_maximal,
     "acc": _suite_acc,

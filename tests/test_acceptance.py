@@ -105,3 +105,10 @@ def test_criterion_10_printed_condition_discrepancy_report():
     assert padded["missed_inclusions"] > 0
     # (b) soundness: never true where the code route says no
     assert padded["unsound_cases"] == 0
+
+
+def test_criterion_11_slack_form_equals_split_search():
+    report = run_and_announce(
+        11, "closed-form slack test == split search on codes", "code-slack", 1305 * 1305,
+    )
+    assert report.details == {"codes": 1305, "sequences": 57}

@@ -29,6 +29,24 @@ def test_dominates_methods_agree(capsys):
     assert code == 2 and "need" in err
 
 
+def test_criterion4x_refuses_below_quadruple_width(capsys):
+    # [2,0] does not dominate [1,0]; the gap criterion alone would say it does
+    code, out, err = run(capsys, "dominates", "[2,0]", "[1,0]", "--method", "criterion4x")
+    assert (code, out) == (2, "") and "4 times as wide" in err
+    assert run(capsys, "dominates", "[2,0]", "[1,0]")[:2] == (1, "false\n")
+    wide = "[3,3,2,2,1,1,0,0]"
+    for narrow, answer in (("[1,0]", (0, "true\n")), ("[4,0]", (1, "false\n"))):
+        assert run(capsys, "dominates", wide, narrow, "--method", "criterion4x")[:2] == answer
+        assert run(capsys, "dominates", wide, narrow)[:2] == answer
+
+
+def test_unexpected_exceptions_exit_2(capsys):
+    # "yl": null reaches the library as None and raises TypeError there
+    code, out, err = run(capsys, "ideal", "include", '{"x":1,"yl":null}', '{"x":1}')
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "TypeError" in err
+
+
 def test_qvee_and_qlambda(capsys):
     assert run(capsys, "qvee", "[1,0]", "[2,0]")[0] == 0
     assert run(capsys, "qvee", "[1,0]", "[1,0]")[0] == 1

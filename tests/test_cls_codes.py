@@ -8,8 +8,11 @@ from slinf.cls_codes import (
     ClsCode,
     ExtSequence,
     code_included,
+    code_included_oracle,
+    code_rows,
     normalize,
     seq_leq_shifted,
+    seq_slack,
     union_included,
 )
 
@@ -160,3 +163,39 @@ def test_json_round_trip():
         "p": {"inf": 1, "head": [5, 3], "tail": 2},
         "q": {"inf": 0, "head": [4], "tail": 2},
     }
+
+
+def _sequences_with_tail(tail):
+    return st.builds(
+        lambda inf, head: ExtSequence(inf, tuple(sorted(head, reverse=True)), tail),
+        st.integers(0, 3),
+        st.lists(st.integers(tail, 5), max_size=3),
+    )
+
+
+# past the frozen tiap-order grid (entries <= 3, tails <= 2); heads may end in
+# copies of the tail, so unnormalized codes are drawn too
+wide_codes = st.integers(0, 3).flatmap(
+    lambda m: st.builds(ClsCode, _sequences_with_tail(m), _sequences_with_tail(m))
+)
+
+
+@given(ext_sequences, ext_sequences)
+def test_seq_slack_is_the_largest_admissible_shift(inner, outer):
+    slack = seq_slack(inner, outer)
+    for a in range(8):
+        assert seq_leq_shifted(inner, outer, a) == (a <= slack)
+
+
+@given(st.lists(wide_codes, max_size=12))
+def test_code_rows_match_split_search(codes):
+    expected = [
+        sum(1 << j for j, outer in enumerate(codes) if code_included_oracle(inner, outer))
+        for inner in codes
+    ]
+    assert code_rows(codes) == expected
+    assert all(
+        code_included(inner, outer) == bool((row >> j) & 1)
+        for inner, row in zip(codes, expected)
+        for j, outer in enumerate(codes)
+    )

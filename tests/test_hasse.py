@@ -1,9 +1,17 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from slinf.hasse import covering_relations, family_hasse, hasse_adjacency
-from slinf.ideals import AUGMENTATION_IDEAL, Ideal, enumerate_ideals, is_contained
+from slinf.ideals import (
+    AUGMENTATION_IDEAL,
+    ZERO_IDEAL,
+    Ideal,
+    enumerate_diagrams,
+    enumerate_ideals,
+    is_contained,
+)
 
 
 def test_single_column_family_graph():
@@ -59,3 +67,33 @@ def test_family_hasse_errors():
         family_hasse(-1, 0, 0, 0, "dot")
     with pytest.raises(ValueError):
         family_hasse(0, 0, 0, 0, "svg")
+
+
+def covering_reference(ideals):
+    """The cubic definition: strict pairs with no family member strictly between."""
+    family = sorted(set(ideals), key=Ideal.sort_key)
+    strict = {(a, b) for a in family for b in family if a != b and is_contained(a, b)}
+    covers = [
+        (a, b)
+        for (a, b) in strict
+        if not any((a, c) in strict and (c, b) in strict for c in family)
+    ]
+    return sorted(covers, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+
+
+@example([ZERO_IDEAL] + enumerate_ideals(1, 1, 1, 2))
+@given(st.lists(
+    st.one_of(
+        st.just(ZERO_IDEAL),
+        st.builds(
+            Ideal,
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from(enumerate_diagrams(2, 2)),
+            st.sampled_from(enumerate_diagrams(2, 2)),
+        ),
+    ),
+    max_size=14,
+))
+def test_covering_relations_match_reference(family):
+    assert covering_relations(family) == covering_reference(family)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from slinf.cls_codes import ClsCode, ExtSequence
 from slinf.ideals import (
@@ -13,6 +14,7 @@ from slinf.ideals import (
     enumerate_diagrams,
     enumerate_ideals,
     highest_weight,
+    inclusion_rows,
     is_contained,
     is_maximal,
     make_weight,
@@ -208,3 +210,26 @@ def test_split_consistency_spot_checks():
             code_sequence(0, outer.y, outer.yr),
         )
         assert union_included((single,), cls_union(inner)) == is_contained(inner, outer)
+
+
+ideals = st.one_of(
+    st.just(ZERO_IDEAL),
+    st.builds(
+        Ideal,
+        st.integers(0, 2),
+        st.integers(0, 2),
+        st.sampled_from(enumerate_diagrams(2, 3)),
+        st.sampled_from(enumerate_diagrams(2, 3)),
+    ),
+)
+
+
+@given(st.lists(ideals, max_size=10), st.data())
+def test_inclusion_rows_match_pointwise_inclusion(family, data):
+    if family:  # repeat some entries, so duplicates always occur
+        family += data.draw(st.lists(st.sampled_from(family), min_size=1, max_size=3))
+    rows = inclusion_rows(family)
+    assert rows == [
+        sum(1 << j for j, outer in enumerate(family) if is_contained(inner, outer))
+        for inner in family
+    ]
