@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -105,18 +106,49 @@ def _cmd_qlambda(args) -> int:
     )
 
 
-def _cmd_plscheck(args) -> int:
-    system = _build_system(args.system, [_parse_partition(t) for t in args.partitions])
+def _window_cost(widths: range, bound: int, cap: int) -> int:
+    # Partition entries a window check may generate at these widths, bound
+    # included: width w has C(bound + 2w - 2, bound) interlacing (class, child)
+    # pairs, at least as many as classes, of w entries each.  Exact up to cap,
+    # some number past cap beyond it, and cheap to compute either way.
+    total = 0
+    for w in widths:  # each width adds >= w entries, so this stops within ~sqrt(2 cap) widths
+        k = min(bound, 2 * w - 2)
+        # C(n, k) >= 2**k when k <= n / 2, so a large k is past cap without computing it
+        total += cap + 1 if k > cap.bit_length() else w * math.comb(bound + 2 * w - 2, k)
+        if total > cap:
+            break
+    return total
+
+
+def _window(args, slack: int | None = None) -> LevelWindow:
+    """The window of a plscheck/clscheck call, refused past the verify ceiling before any enumeration.
+
+    A slack (clscheck) adds the witness levels one width up; a negative one
+    is left for the coherence check to refuse.
+    """
     lo, hi = args.widths
     window = LevelWindow(lo, hi, args.bound)
-    return _finish_bool(is_precoherent_on_window(system, window))
+    cap = verify.DEFAULT_CEILING
+    size = _window_cost(window.widths(), args.bound, cap)
+    if slack is not None:
+        size += _window_cost(range(lo + 1, hi + 1), args.bound + max(slack, 0), cap)
+    if size > cap:
+        raise ValueError(
+            f"the window {lo}..{hi} with bound {args.bound} may generate more than {cap} "
+            f"partition entries; shrink --widths or --bound"
+        )
+    return window
+
+
+def _cmd_plscheck(args) -> int:
+    system = _build_system(args.system, [_parse_partition(t) for t in args.partitions])
+    return _finish_bool(is_precoherent_on_window(system, _window(args)))
 
 
 def _cmd_clscheck(args) -> int:
     system = _build_system(args.system, [_parse_partition(t) for t in args.partitions])
-    lo, hi = args.widths
-    window = LevelWindow(lo, hi, args.bound)
-    return _finish_bool(is_coherent_on_window(system, window, args.slack))
+    return _finish_bool(is_coherent_on_window(system, _window(args, args.slack), args.slack))
 
 
 def _cmd_cls_include(args) -> int:

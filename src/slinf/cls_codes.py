@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .partitions import as_int
+
 INF = float("inf")
 
 
@@ -75,7 +77,11 @@ class ExtSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtSequence":
-        return cls(int(obj.get("inf", 0)), tuple(obj.get("head", [])), int(obj["tail"]))
+        return cls(
+            as_int(obj.get("inf", 0), "inf"),
+            tuple(as_int(v, "a head entry") for v in obj.get("head", [])),
+            as_int(obj["tail"], "tail"),
+        )
 
 
 def normalize(seq: ExtSequence) -> ExtSequence:

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 from .cls_codes import ClsCode, ExtSequence, code_rows, union_included
-from .partitions import YoungDiagram, as_young_diagram
+from .partitions import YoungDiagram, as_int, as_young_diagram
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class Ideal:
         if obj.get("zero"):
             return ZERO_IDEAL
         return cls(
-            x=int(obj.get("x", 0)),
-            y=int(obj.get("y", 0)),
+            x=as_int(obj.get("x", 0), "x"),
+            y=as_int(obj.get("y", 0), "y"),
             yl=tuple(obj.get("yl", [])),
             yr=tuple(obj.get("yr", [])),
         )

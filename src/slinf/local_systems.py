@@ -5,6 +5,10 @@ systems are membership predicates, never materialized sets (each level is
 infinite); truncation lives in the test window.  A system is *precoherent*
 when membership is closed downward under dominance, and *coherent* when in
 addition every member extends one width up to a dominating member.
+
+Dominance is the reflexive-transitive closure of one branching step, and a
+child never outgrows its parent's canonical spread, so every chain from a
+window member stays in the window: the window checks look one step down.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .dominance import dominates_oracle
-from .partitions import ShiftClass, as_zpartition, canonicalize, enumerate_classes
+from .partitions import ShiftClass, _children, as_zpartition, canonicalize, enumerate_classes
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,6 @@ class LevelWindow:
 
     def widths(self) -> range:
         return range(self.n_min, self.n_max + 1)
-
-    def classes(self, width: int) -> list[ShiftClass]:
-        return enumerate_classes(width, self.entry_bound)
 
 
 @dataclass(frozen=True)
@@ -128,49 +129,47 @@ def forbidden_to_coherent(lams: Iterable[Sequence[int]]) -> LocalSystem:
     canon = sorted({canonicalize(lam) for lam in lams})
     if not canon:
         raise ValueError("need at least one forbidden partition")
-    for lam in canon:
-        if len(lam) < 2:
-            raise ValueError("every forbidden partition must have width >= 2")
+    if any(len(lam) < 2 for lam in canon):
+        raise ValueError("every forbidden partition must have width >= 2")
     return LocalSystem(
         contains=lambda mu: all(gap_union_contains(lam, mu) for lam in canon),
         description=f"coherent intersection forbidding {[list(c) for c in canon]}",
     )
 
 
-def is_precoherent_on_window(system: LocalSystem, window: LevelWindow) -> bool:
-    """Downward closure under dominance, checked pairwise inside the window."""
-    member = {
-        w: {c for c in window.classes(w) if system.contains(c)}
+def _closed_on_window(system: LocalSystem, window: LevelWindow, slack: int | None) -> bool:
+    # One membership test per class and width.  With a slack, the widths above
+    # n_min double as witness levels, with entries up to entry_bound + slack.
+    bound = window.entry_bound
+    levels = {
+        w: set(filter(system.contains, enumerate_classes(w, bound + (slack or 0) if w > window.n_min else bound)))
         for w in window.widths()
     }
-    for w_hi in window.widths():
-        for lam in member[w_hi]:
-            for w_lo in range(window.n_min, w_hi + 1):
-                for mu in window.classes(w_lo):
-                    if mu not in member[w_lo] and dominates_oracle(lam, mu):
-                        return False
+    for w in range(window.n_min + 1, window.n_max + 1):
+        children = {lam: _children(lam) for lam in levels[w]}
+        if any(lam[0] <= bound and not kids <= levels[w - 1] for lam, kids in children.items()):
+            return False
+        if slack is None:
+            continue
+        reached = set().union(*children.values())
+        if any(mu[0] <= bound and mu not in reached for mu in levels[w - 1]):
+            return False
     return True
+
+
+def is_precoherent_on_window(system: LocalSystem, window: LevelWindow) -> bool:
+    """Downward closure under dominance inside the window: members' children are members."""
+    return _closed_on_window(system, window, None)
 
 
 def is_coherent_on_window(system: LocalSystem, window: LevelWindow, search_slack: int) -> bool:
     """Precoherence plus one-width-up extension witnesses inside the window.
 
-    Witnesses are searched among canonical classes with entries up to
-    entry_bound + search_slack, so a False verdict is definitive only for
-    the given slack: the bounded search makes incompleteness explicit
-    instead of silent.
+    A member at width w < n_max has a witness iff it is a child of a member at
+    width w + 1 with entries up to entry_bound + search_slack.  A False verdict
+    is definitive only for the given slack: the bounded search makes
+    incompleteness explicit instead of silent.
     """
     if search_slack < 0:
         raise ValueError("search_slack must be >= 0")
-    if not is_precoherent_on_window(system, window):
-        return False
-    for w in range(window.n_min, window.n_max):
-        for mu in window.classes(w):
-            if not system.contains(mu):
-                continue
-            witnesses = enumerate_classes(w + 1, window.entry_bound + search_slack)
-            if not any(
-                system.contains(lam) and dominates_oracle(lam, mu) for lam in witnesses
-            ):
-                return False
-    return True
+    return _closed_on_window(system, window, search_slack)

@@ -24,14 +24,21 @@ ShiftClass = tuple[int, ...]
 YoungDiagram = tuple[int, ...]
 
 
+def as_int(value, what: str) -> int:
+    """Strict integer check: exactly int, so bool, float and str are refused, never coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def as_zpartition(entries: Sequence[int]) -> ZPartition:
-    """Validate a Z-partition: nonincreasing integers, width >= 1."""
+    """Validate a Z-partition: nonincreasing integers (strictly int), width >= 1."""
     part = tuple(entries)
     if not part:
         raise ValueError("a Z-partition must have width >= 1")
     for v in part:
-        if not isinstance(v, int):
-            raise ValueError(f"Z-partition entries must be integers, got {v!r}")
+        if type(v) is not int:  # as_int, inlined: every dominance query passes here
+            as_int(v, "a Z-partition entry")
     if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
         raise ValueError(f"Z-partition entries must be nonincreasing: {list(part)}")
     return part
@@ -122,7 +129,7 @@ def as_young_diagram(columns: Sequence[int]) -> YoungDiagram:
     """Validate column lengths: strictly positive, nonincreasing; () is the empty diagram."""
     cols = tuple(columns)
     for v in cols:
-        if not isinstance(v, int) or v < 1:
+        if as_int(v, "a column length") < 1:
             raise ValueError(f"column lengths must be positive integers, got {v!r}")
     if any(cols[i] < cols[i + 1] for i in range(len(cols) - 1)):
         raise ValueError(f"column lengths must be nonincreasing: {list(cols)}")

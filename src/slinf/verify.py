@@ -135,7 +135,11 @@ def load_grid_config(path: str | Path | None = None) -> dict:
 
 
 def run_suite(name: str, overrides: dict | None = None, config: dict | None = None) -> VerifyReport:
-    """Run one named suite on its configured grid (plus explicit overrides)."""
+    """Run one named suite on its configured grid (plus explicit overrides).
+
+    A grid on which the suite checks nothing raises ValueError: a vacuous
+    pass would prove nothing.
+    """
     if name not in _SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}; known suites: {', '.join(sorted(_SUITES))}")
     cfg = config if config is not None else load_grid_config()
@@ -143,9 +147,12 @@ def run_suite(name: str, overrides: dict | None = None, config: dict | None = No
     grid.update(overrides or {})
     ceiling = int(grid.get("ceiling", cfg.get("ceiling", DEFAULT_CEILING)))
     try:
-        return _SUITES[name](grid, ceiling)
+        report = _SUITES[name](grid, ceiling)
     except KeyError as exc:
         raise ValueError(f"grid for suite {name!r} is missing key {exc}") from exc
+    if report.checked == 0:
+        raise ValueError(f"suite {name!r} checked nothing on its grid; widen the grid")
+    return report
 
 
 def suite_names() -> list[str]:

@@ -171,6 +171,47 @@ def test_verify_cli(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "lgts2", "--grid-file", str(toobig))
     assert code == 2 and "ceiling" in err
 
+    # a grid that enumerates nothing must not pass
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"suites": {"interlace": {"max_width": 0, "bound": -1}}}))
+    code, out, err = run(capsys, "verify", "interlace", "--grid-file", str(empty))
+    assert (code, out) == (2, "") and "checked nothing" in err
+
+
+def test_non_integers_are_refused_not_coerced(capsys):
+    # each of these used to answer: 1.9 and 1.7 were truncated to 1, true read as 1
+    ideal = '{"x":1.9,"y":0,"yl":[],"yr":[]}'
+    code, out, err = run(capsys, "ideal", "include", ideal, '{"x":1,"y":0,"yl":[],"yr":[]}')
+    assert (code, out) == (2, "") and "1.9" in err
+    code, out, err = run(capsys, "dominates", "[true,0]", "[1,0]")
+    assert (code, out) == (2, "") and "True" in err
+    seq = {"inf": 0, "head": [], "tail": 1.7}
+    cls_code = json.dumps({"p": seq, "q": seq})
+    code, out, err = run(capsys, "cls", "include", cls_code, cls_code)
+    assert (code, out) == (2, "") and "1.7" in err
+    for bad in ('{"x":0,"y":"1"}', '{"x":0,"yl":[1.0]}', '{"x":0,"yl":[false]}'):
+        assert run(capsys, "ideal", "cls", bad)[:2] == (2, "")
+    zero = {"inf": 0, "head": [], "tail": 0}
+    for half in ({"inf": True, "head": [], "tail": 0}, {"inf": 0, "head": [True], "tail": 0}):
+        cls_code = json.dumps({"p": half, "q": zero})
+        assert run(capsys, "cls", "include", cls_code, cls_code)[:2] == (2, "")
+
+
+def test_window_checks_refuse_oversized_windows_before_enumerating(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("slinf.local_systems.enumerate_classes", forbidden)
+    monkeypatch.setattr("slinf.local_systems._children", forbidden)
+    for argv in (
+        ["plscheck", "[3,1,0]", "--widths", "3..60", "--bound", "5"],
+        ["plscheck", "[1,0]", "--widths", "2..100000000", "--bound", "100000000"],
+        ["clscheck", "[3,1,0]", "--system", "qlambda", "--widths", "3..12", "--bound", "5",
+         "--slack", "60"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "may generate more than 10000000" in err, err
+
 
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bogus-verb")[0] == 2

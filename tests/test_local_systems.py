@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slinf.dominance import dominates_oracle
 from slinf.local_systems import (
@@ -139,3 +142,80 @@ def test_window_validation():
         LevelWindow(4, 3, 2)
     with pytest.raises(ValueError):
         LevelWindow(2, 3, -1)
+
+
+# The all-pairs chain-oracle definitions of the window checks, kept as the
+# reference for the one-step closure in the library.
+def precoherent_reference(system, window):
+    member = {
+        w: {c for c in enumerate_classes(w, window.entry_bound) if system.contains(c)}
+        for w in window.widths()
+    }
+    for w_hi in window.widths():
+        for lam in member[w_hi]:
+            for w_lo in range(window.n_min, w_hi + 1):
+                for mu in enumerate_classes(w_lo, window.entry_bound):
+                    if mu not in member[w_lo] and dominates_oracle(lam, mu):
+                        return False
+    return True
+
+
+def coherent_reference(system, window, search_slack):
+    if not precoherent_reference(system, window):
+        return False
+    for w in range(window.n_min, window.n_max):
+        for mu in enumerate_classes(w, window.entry_bound):
+            if not system.contains(mu):
+                continue
+            witnesses = enumerate_classes(w + 1, window.entry_bound + search_slack)
+            if not any(
+                system.contains(lam) and dominates_oracle(lam, mu) for lam in witnesses
+            ):
+                return False
+    return True
+
+
+def arbitrary_system(seed):
+    """A seeded shift-invariant predicate: a spread threshold per width, some classes flipped.
+
+    Thresholds that never grow with the width give a closed system; the flips
+    and unsorted thresholds give systems that are not closed.
+    """
+    rng = random.Random(seed)
+    thresholds = [rng.randint(-1, 5) for _ in range(8)]
+    if rng.random() < 0.5:
+        thresholds.sort(reverse=True)
+    flip = rng.choice((0.0, 0.0, 0.05, 0.3))
+
+    def contains(mu):
+        c = canonicalize(mu)
+        return (c[0] <= thresholds[len(c)]) != (random.Random(hash((seed, c))).random() < flip)
+
+    return LocalSystem(contains=contains, description=f"arbitrary system {seed}")
+
+
+small_lams = st.sampled_from(enumerate_classes(2, 3) + enumerate_classes(3, 2))
+systems = st.one_of(
+    small_lams.map(avoiding_system),
+    small_lams.map(gap_union_system),
+    st.lists(small_lams, min_size=1, max_size=2).map(forbidden_to_coherent),
+    st.integers(0, 2**32).map(arbitrary_system),
+)
+
+
+def test_window_checks_match_all_pairs_reference():
+    verdicts = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(systems, st.integers(2, 6), st.integers(0, 4), st.integers(0, 4), st.integers(0, 2))
+    def check(system, n_min, extra, bound, slack):
+        window = LevelWindow(n_min, min(n_min + extra, 6), bound)
+        pre = is_precoherent_on_window(system, window)
+        co = is_coherent_on_window(system, window, slack)
+        assert pre == precoherent_reference(system, window), (system.description, window)
+        assert co == coherent_reference(system, window, slack), (system.description, window, slack)
+        verdicts.update({("pre", pre), ("co", co)})
+
+    check()
+    # both answers of both checks occur, so the agreement is not vacuous
+    assert verdicts == {("pre", True), ("pre", False), ("co", True), ("co", False)}
