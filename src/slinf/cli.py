@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -17,7 +16,15 @@ from . import verify
 from .cls_codes import ClsCode, code_included
 from .dominance import dominates_interlace, dominates_oracle, gap_criterion
 from .hasse import family_hasse
-from .ideals import Ideal, cls_union, containing_ideals, highest_weight, is_contained
+from .ideals import (
+    Ideal,
+    cls_union,
+    containing_ideals,
+    family_size,
+    highest_weight,
+    is_contained,
+    upset_size,
+)
 from .local_systems import (
     LevelWindow,
     avoiding_system,
@@ -28,7 +35,7 @@ from .local_systems import (
     is_coherent_on_window,
     is_precoherent_on_window,
 )
-from .partitions import as_zpartition
+from .partitions import as_zpartition, capped_comb
 
 
 def _parse_partition(text: str):
@@ -113,9 +120,7 @@ def _window_cost(widths: range, bound: int, cap: int) -> int:
     # some number past cap beyond it, and cheap to compute either way.
     total = 0
     for w in widths:  # each width adds >= w entries, so this stops within ~sqrt(2 cap) widths
-        k = min(bound, 2 * w - 2)
-        # C(n, k) >= 2**k when k <= n / 2, so a large k is past cap without computing it
-        total += cap + 1 if k > cap.bit_length() else w * math.comb(bound + 2 * w - 2, k)
+        total += w * capped_comb(bound + 2 * w - 2, bound, cap)
         if total > cap:
             break
     return total
@@ -139,6 +144,13 @@ def _window(args, slack: int | None = None) -> LevelWindow:
             f"partition entries; shrink --widths or --bound"
         )
     return window
+
+
+def _refuse_past_ceiling(count: int, what: str, shrink: str) -> None:
+    """Refuse, before any enumeration, a command whose check count passes the verify ceiling."""
+    cap = verify.DEFAULT_CEILING
+    if count > cap:
+        raise ValueError(f"{what} would need more than {cap} inclusion checks; shrink {shrink}")
 
 
 def _cmd_plscheck(args) -> int:
@@ -171,12 +183,19 @@ def _cmd_ideal_weight(args) -> int:
 
 
 def _cmd_ideal_upset(args) -> int:
-    found = containing_ideals(_parse_ideal(args.ideal), args.cap)
+    ideal = _parse_ideal(args.ideal)
+    size = upset_size(ideal, args.cap, verify.DEFAULT_CEILING)
+    _refuse_past_ceiling(size, f"the upset of {ideal}", "--cap")
+    found = containing_ideals(ideal, args.cap)
     _emit([ideal.to_json() for ideal in found])
     return 0
 
 
 def _cmd_ideal_hasse(args) -> int:
+    bounds = (args.max_x, args.max_y, args.max_cols, args.max_len)
+    if min(bounds) >= 0:  # negative bounds are left for family_hasse to refuse
+        size = family_size(*bounds, verify.DEFAULT_CEILING)
+        _refuse_past_ceiling(size * size, "the Hasse diagram of this family", "the --max-* bounds")
     text = family_hasse(args.max_x, args.max_y, args.max_cols, args.max_len, args.format)
     sys.stdout.write(text)
     return 0

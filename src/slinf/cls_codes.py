@@ -31,14 +31,12 @@ class ExtSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "head", tuple(self.head))
-        if self.inf_count < 0:
+        if as_int(self.inf_count, "inf_count") < 0:
             raise ValueError("inf_count must be >= 0")
-        if self.tail < 0:
+        if as_int(self.tail, "tail") < 0:
             raise ValueError("tail must be >= 0")
         for v in self.head:
-            if not isinstance(v, int):
-                raise ValueError(f"head entries must be integers, got {v!r}")
-            if v < self.tail:
+            if as_int(v, "a head entry") < self.tail:
                 raise ValueError(f"head entry {v} below the tail {self.tail}")
         if any(self.head[i] < self.head[i + 1] for i in range(len(self.head) - 1)):
             raise ValueError(f"head must be nonincreasing: {list(self.head)}")
@@ -77,11 +75,7 @@ class ExtSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtSequence":
-        return cls(
-            as_int(obj.get("inf", 0), "inf"),
-            tuple(as_int(v, "a head entry") for v in obj.get("head", [])),
-            as_int(obj["tail"], "tail"),
-        )
+        return cls(obj.get("inf", 0), tuple(obj.get("head", [])), obj["tail"])
 
 
 def normalize(seq: ExtSequence) -> ExtSequence:
@@ -149,10 +143,14 @@ def seq_slack(inner: ExtSequence, outer: ExtSequence) -> int | float:
     is infinite imposes no bound; one where only inner is infinite gives
     -inf ("never").  The last position compares the two finite tails, so the
     result is an integer or -inf, and seq_leq_shifted(inner, outer, a) holds
-    exactly when 0 <= a <= seq_slack(inner, outer).
+    exactly when 0 <= a <= seq_slack(inner, outer).  Only the positions past
+    outer's infinities are read, so the cost grows with the heads, not with
+    the number of infinities.
     """
+    if inner.inf_count > outer.inf_count:
+        return -INF  # position outer.inf_count + 1 is infinite in inner only
     n = max(inner.significant_length, outer.significant_length) + 1
-    return min(outer.value_at(i) - inner.value_at(i) for i in range(1, n + 1) if outer.value_at(i) != INF)
+    return min(outer.value_at(i) - inner.value_at(i) for i in range(outer.inf_count + 1, n + 1))
 
 
 def code_included(inner: ClsCode, outer: ClsCode) -> bool:

@@ -21,8 +21,8 @@ from functools import cache
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .cls_codes import ClsCode, ExtSequence, code_rows, union_included
-from .partitions import YoungDiagram, as_int, as_young_diagram
+from .cls_codes import ClsCode, ExtSequence, bit_indices, code_rows, seq_slack, union_included
+from .partitions import YoungDiagram, as_int, as_young_diagram, capped_comb
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class Ideal:
     zero: bool = False
 
     def __post_init__(self):
+        as_int(self.x, "x")
+        as_int(self.y, "y")
         object.__setattr__(self, "yl", as_young_diagram(self.yl))
         object.__setattr__(self, "yr", as_young_diagram(self.yr))
         if self.x < 0 or self.y < 0:
@@ -61,8 +63,8 @@ class Ideal:
         if obj.get("zero"):
             return ZERO_IDEAL
         return cls(
-            x=as_int(obj.get("x", 0), "x"),
-            y=as_int(obj.get("y", 0), "y"),
+            x=obj.get("x", 0),
+            y=obj.get("y", 0),
             yl=tuple(obj.get("yl", [])),
             yr=tuple(obj.get("yr", [])),
         )
@@ -314,9 +316,16 @@ def enumerate_diagrams(max_cols: int, max_len: int) -> list[YoungDiagram]:
     if max_cols < 0 or max_len < 0:
         raise ValueError("diagram bounds must be >= 0")
     out: list[YoungDiagram] = [()]
-    for ncols in range(1, max_cols + 1):
+    for ncols in range(1, max_cols + 1 if max_len else 1):
         out.extend(combinations_with_replacement(range(max_len, 0, -1), ncols))
     return sorted(out)
+
+
+def diagram_count(max_cols: int, max_len: int, cap: int) -> int:
+    """len(enumerate_diagrams(max_cols, max_len)) = C(max_len + max_cols, max_cols), capped at cap + 1."""
+    if max_cols < 0 or max_len < 0:
+        raise ValueError("diagram bounds must be >= 0")
+    return capped_comb(max_len + max_cols, max_cols, cap)
 
 
 def enumerate_ideals(max_x: int, max_y: int, max_cols: int, max_len: int) -> list[Ideal]:
@@ -334,6 +343,28 @@ def enumerate_ideals(max_x: int, max_y: int, max_cols: int, max_len: int) -> lis
     return sorted(family, key=Ideal.sort_key)
 
 
+def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -> int:
+    """len(enumerate_ideals(...)) without enumerating: exact up to cap, some number past cap beyond it."""
+    if max_x < 0 or max_y < 0:
+        raise ValueError("family bounds must be >= 0")
+    diagrams = diagram_count(max_cols, max_len, cap)
+    return (max_x + 1) * (max_y + 1) * diagrams * diagrams
+
+
+def upset_size(ideal: Ideal, width_cap: int, cap: int) -> int:
+    """How many candidates containing_ideals decides: exact up to cap, some number past cap beyond it."""
+    if ideal.zero or width_cap < 0:
+        return 0  # containing_ideals refuses these before deciding anything
+    max_l, max_r = _longest_columns(ideal)
+    diagrams = diagram_count(width_cap, max_l, cap) * diagram_count(width_cap, max_r, cap)
+    return (ideal.x + 1) * (ideal.y + 1) * diagrams
+
+
+def _longest_columns(ideal: Ideal) -> tuple[int, int]:
+    # columns of a containing ideal are at most the first column plus y, on each side
+    return (ideal.yl[0] if ideal.yl else 0) + ideal.y, (ideal.yr[0] if ideal.yr else 0) + ideal.y
+
+
 def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     """All nonzero ideals containing this one, within explicit search bounds.
 
@@ -341,21 +372,58 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     bounded by the first column plus y on each side; the number of columns
     is capped by width_cap because the full upset can be infinite (adding
     one-cell columns can absorb an exterior factor indefinitely).
+
+    Decided from one table of slacks, never candidate by candidate.  A
+    candidate J = (x', y', L, R) contains the ideal iff each of its codes,
+    (code_sequence(c, y', L), code_sequence(x' - c, y', R)) for c = 0..x',
+    is included in some code k of the ideal.  Those codes have limits y' and
+    y, so by the slack criterion of code_included, with d = y - y' >= 0,
+    that holds for k iff
+    s_p = seq_slack(left half, k.p) >= 0 and seq_slack(right half, k.q) >= max(0, d - s_p).
+    The left half sees only (c, y', L) and the right half only (x' - c, y', R),
+    so the test factors: per y' the right diagrams are tabulated once as
+    bitmasks, covered[e][k][t] = {R : seq_slack(code_sequence(e, y', R), k.q) >= t},
+    and each (x', y', L) ORs covered[x' - c][k][max(0, d - s_p)] over the codes
+    k with s_p >= 0 (the R whose split-c code is included somewhere), then
+    ANDs that over the splits c.  The set bits are exactly the R with
+    is_contained(ideal, J), which stays the pointwise route.  Only the codes
+    k of splits c0 with c <= c0 <= c + x - x' are tried: outside that range
+    one half of the split-c code has an infinity where k's half is finite.
     """
     if ideal.zero:
         raise ValueError("the upset of the zero ideal is the whole lattice; enumerate a family instead")
     if width_cap < 0:
         raise ValueError("width_cap must be >= 0")
-    max_l = (ideal.yl[0] if ideal.yl else 0) + ideal.y
-    max_r = (ideal.yr[0] if ideal.yr else 0) + ideal.y
+    max_l, max_r = _longest_columns(ideal)
     left = enumerate_diagrams(width_cap, max_l)
     right = enumerate_diagrams(width_cap, max_r)
-    found = [
-        cand
-        for x in range(ideal.x + 1)
-        for y in range(ideal.y + 1)
-        for yl in left
-        for yr in right
-        if is_contained(ideal, cand := Ideal(x, y, yl, yr))
-    ]
+    codes = sorted(cls_union(ideal), key=lambda code: code.p.inf_count)  # codes[c0]: split c0 + (x - c0)
+    full = (1 << len(right)) - 1
+    found = []
+    for y in range(ideal.y + 1):
+        d = ideal.y - y
+        covered = []
+        for e in range(ideal.x + 1):
+            right_halves = [code_sequence(e, y, yr) for yr in right]
+            per_code = []
+            for code in codes[: ideal.x - e + 1]:
+                slacks = [seq_slack(half, code.q) for half in right_halves]
+                per_code.append([sum(1 << j for j, s in enumerate(slacks) if s >= t) for t in range(d + 1)])
+            covered.append(per_code)
+        for x in range(ideal.x + 1):
+            for yl in left:
+                row = full
+                for c in range(x + 1):
+                    left_half = code_sequence(c, y, yl)
+                    split = 0
+                    for c0 in range(c, c + ideal.x - x + 1):
+                        s_p = seq_slack(left_half, codes[c0].p)
+                        if s_p >= 0:
+                            split |= covered[x - c][c0][max(0, d - s_p)]
+                            if split == full:
+                                break
+                    row &= split
+                    if not row:
+                        break
+                found.extend(Ideal(x, y, yl, right[j]) for j in bit_indices(row))
     return sorted(found, key=Ideal.sort_key)

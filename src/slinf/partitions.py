@@ -15,6 +15,7 @@ overflow.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from itertools import combinations_with_replacement, product
 from typing import Sequence
@@ -29,6 +30,18 @@ def as_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def capped_comb(n: int, k: int, cap: int) -> int:
+    """C(n, k) when it is at most cap, cap + 1 when it is larger; cheap for any n and k.
+
+    C(n, k) >= 2**k for k <= n / 2, so a k (or n - k) past cap's bit length is
+    past cap without computing C(n, k), which for n and k in the millions
+    takes minutes.  Negative arguments raise ValueError, as in math.comb.
+    """
+    if 0 <= k <= n and min(k, n - k) > cap.bit_length():
+        return cap + 1
+    return min(math.comb(n, k), cap + 1)
 
 
 def as_zpartition(entries: Sequence[int]) -> ZPartition:
@@ -123,6 +136,18 @@ def enumerate_classes(width: int, entry_bound: int) -> list[ShiftClass]:
         raise ValueError("entry_bound must be >= 0")
     combos = combinations_with_replacement(range(entry_bound, -1, -1), width - 1)
     return sorted(t + (0,) for t in combos)
+
+
+def class_count(width: int, entry_bound: int, cap: int) -> int:
+    """len(enumerate_classes(width, entry_bound)) without enumerating, capped at cap + 1.
+
+    It is C(width - 1 + entry_bound, entry_bound), the number of tuples the enumeration chooses.
+    """
+    if width < 1:
+        raise ValueError("width must be >= 1")
+    if entry_bound < 0:
+        raise ValueError("entry_bound must be >= 0")
+    return capped_comb(width - 1 + entry_bound, entry_bound, cap)
 
 
 def as_young_diagram(columns: Sequence[int]) -> YoungDiagram:

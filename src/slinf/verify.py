@@ -11,7 +11,6 @@ module, so acceptance runs are reproducible; overrides are explicit.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from importlib import resources
@@ -43,11 +42,12 @@ from .ideals import (
     code_sequence,
     diagram_order_condition,
     enumerate_ideals,
+    family_size,
     inclusion_rows,
     is_contained,
 )
 from .local_systems import avoiding_system_contains, gap_union_contains
-from .partitions import enumerate_classes
+from .partitions import class_count, enumerate_classes
 
 DEFAULT_CEILING = 10_000_000
 MAX_STORED_COUNTEREXAMPLES = 50
@@ -116,13 +116,19 @@ def _finish(suite: str, grid: dict, checked: int, bad: _Collector, details: dict
 def _guard(projected: int, ceiling: int, suite: str):
     if projected > ceiling:
         raise GridTooLargeError(
-            f"suite {suite!r} would run {projected} elementary checks, "
+            f"suite {suite!r} would run at least {projected} elementary checks, "
             f"above the ceiling of {ceiling}; shrink the grid or raise the ceiling"
         )
 
 
-def _class_count(width: int, bound: int) -> int:
-    return math.comb(width - 1 + bound, bound)
+def _classes_up_to(max_width: int, bound: int, cap: int) -> int:
+    # classes of widths 1..max_width, exact up to cap; each width adds >= 1, so this stops by width cap + 1
+    total = 0
+    for w in range(1, max_width + 1):
+        total += class_count(w, bound, cap)
+        if total > cap:
+            break
+    return total
 
 
 def load_grid_config(path: str | Path | None = None) -> dict:
@@ -169,8 +175,8 @@ def _agreement_suite(suite: str, first: str, first_fn, second: str, second_fn):
     def run(grid: dict, ceiling: int) -> VerifyReport:
         lam_width, lam_bound = grid["lam_width"], grid["lam_bound"]
         mu_widths, mu_bound = list(grid["mu_widths"]), grid["mu_bound"]
-        n_lams = _class_count(lam_width, lam_bound)
-        n_mus = sum(_class_count(w, mu_bound) for w in mu_widths)
+        n_lams = class_count(lam_width, lam_bound, ceiling)
+        n_mus = sum(class_count(w, mu_bound, ceiling) for w in mu_widths)
         checked = n_lams * n_mus
         _guard(checked, ceiling, suite)
         bad = _Collector()
@@ -188,11 +194,15 @@ def _agreement_suite(suite: str, first: str, first_fn, second: str, second_fn):
 
 def _suite_interlace(grid: dict, ceiling: int) -> VerifyReport:
     max_width, bound = grid["max_width"], grid["bound"]
-    counts = {w: _class_count(w, bound) for w in range(1, max_width + 1)}
-    checked = sum(
-        counts[wl] * sum(counts[wm] for wm in range(1, wl + 1))
-        for wl in range(1, max_width + 1)
-    )
+    # each lam of width wl meets every mu of width <= wl; every width adds at
+    # least wl checks, so the count passes the ceiling within ~sqrt(2 ceiling) widths
+    checked = up_to = 0
+    for w in range(1, max_width + 1):
+        count = class_count(w, bound, ceiling)
+        up_to += count
+        checked += count * up_to
+        if checked > ceiling:
+            break
     _guard(checked, ceiling, "interlace")
     classes = {w: enumerate_classes(w, bound) for w in range(1, max_width + 1)}
     bad = _Collector()
@@ -212,10 +222,13 @@ def _suite_interlace(grid: dict, ceiling: int) -> VerifyReport:
 
 def _suite_lemmas(grid: dict, ceiling: int) -> VerifyReport:
     lam_max, mu_max, bound = grid["lam_max_width"], grid["mu_max_width"], grid["bound"]
+    n_lams = _classes_up_to(lam_max, bound, ceiling)
+    n_mus = _classes_up_to(mu_max, bound, ceiling)
+    checked = 3 * n_lams * n_mus
+    # enumerating the classes is work too, even when one side is empty
+    _guard(max(checked, n_lams + n_mus), ceiling, "lemmas")
     lam_list = [c for w in range(1, lam_max + 1) for c in enumerate_classes(w, bound)]
     mu_list = [c for w in range(1, mu_max + 1) for c in enumerate_classes(w, bound)]
-    checked = 3 * len(lam_list) * len(mu_list)
-    _guard(checked, ceiling, "lemmas")
     bad = _Collector()
     hits = {"equal_ends": 0, "tight_gaps": 0, "wide_window": 0}
     for lam in lam_list:
@@ -319,15 +332,12 @@ def _family(grid: dict) -> list[Ideal]:
     return enumerate_ideals(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"])
 
 
-def _family_size(grid: dict) -> int:
-    diagrams = sum(
-        math.comb(grid["max_len"] - 1 + k, k) for k in range(grid["max_cols"] + 1)
-    ) if grid["max_len"] > 0 else 1
-    return (grid["max_x"] + 1) * (grid["max_y"] + 1) * diagrams * diagrams
+def _family_size(grid: dict, ceiling: int) -> int:
+    return family_size(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"], ceiling)
 
 
 def _suite_ideal_order(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid)
+    n = _family_size(grid, ceiling)
     projected = 2 * n * n + n
     _guard(projected, ceiling, "ideal-order")
     family = _family(grid)
@@ -338,7 +348,7 @@ def _suite_ideal_order(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _suite_maximal(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid)
+    n = _family_size(grid, ceiling)
     checked = n * n + n
     _guard(checked, ceiling, "maximal")
     family = _family(grid)
@@ -358,7 +368,7 @@ def _suite_maximal(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid)
+    n = _family_size(grid, ceiling)
     chains = int(grid.get("chains", 1000))
     checked = n * n + chains
     _guard(checked, ceiling, "acc")
@@ -396,7 +406,7 @@ def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid)
+    n = _family_size(grid, ceiling)
     checked = n * n
     _guard(checked, ceiling, "split-consistency")
     family = _family(grid)
@@ -421,7 +431,7 @@ def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid)
+    n = _family_size(grid, ceiling)
     checked = 3 * n * n
     _guard(checked, ceiling, "tord-discrepancy")
     family = _family(grid)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -211,6 +212,40 @@ def test_window_checks_refuse_oversized_windows_before_enumerating(capsys, monke
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and "may generate more than 10000000" in err, err
+
+
+def test_upset_and_hasse_refuse_oversized_requests_before_enumerating(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("slinf.ideals.enumerate_diagrams", forbidden)
+    for argv in (
+        # each of these used to allocate until MemoryError
+        ["ideal", "upset", '{"x":2,"y":2,"yl":[2,2],"yr":[2,1]}', "--cap", "60"],
+        ["ideal", "upset", '{"x":0,"y":0,"yl":[40],"yr":[]}', "--cap", "40"],
+        ["ideal", "hasse", "--max-x", "0", "--max-y", "0", "--max-cols", "40", "--max-len", "40"],
+        ["ideal", "hasse", "--max-x", "2", "--max-y", "2", "--max-cols", "4", "--max-len", "4"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "more than 10000000 inclusion checks" in err, err
+
+
+def test_verify_ceiling_estimate_is_bounded(capsys, tmp_path):
+    # math.comb(2 * 10**6, 10**6) alone takes about 45 s; the estimate must not compute it
+    huge = 3_000_000
+    grids = tmp_path / "huge.json"
+    grids.write_text(json.dumps({"suites": {
+        "interlace": {"max_width": huge, "bound": huge},
+        "lgts2": {"lam_width": huge, "lam_bound": huge, "mu_widths": [huge], "mu_bound": huge},
+        "ideal-order": {"max_x": 0, "max_y": 0, "max_cols": huge, "max_len": huge},
+        # this one used to enumerate every class before its guard, until MemoryError
+        "lemmas": {"lam_max_width": 14, "mu_max_width": 14, "bound": 14},
+    }}))
+    for suite in ("interlace", "lgts2", "ideal-order", "lemmas"):
+        start = time.process_time()
+        code, out, err = run(capsys, "verify", suite, "--grid-file", str(grids))
+        assert (code, out) == (2, "") and "above the ceiling" in err, err
+        assert time.process_time() - start < 5
 
 
 def test_usage_errors_exit_2(capsys):

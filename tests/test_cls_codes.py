@@ -62,6 +62,13 @@ def test_sequence_validation():
         ExtSequence(0, (1, 2), 0)  # increasing head
 
 
+def test_constructor_refuses_non_integers():
+    # each of these used to construct: isinstance accepts True, and inf_count/tail were not checked
+    for args in ((True, (), 1.5), (0, (), 1.5), (1.0, (), 0), (0, (True,), 0), (0, (2.0,), 1), (0, (), "0")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            ExtSequence(*args)
+
+
 def test_value_at():
     s = ExtSequence(2, (5, 3), 1)
     assert [s.value_at(i) for i in range(1, 7)] == [INF, INF, 5, 3, 1, 1]

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slinf.cls_codes import ClsCode, ExtSequence
 from slinf.ideals import (
@@ -194,6 +194,13 @@ def test_ideal_validation_and_json():
     assert str(ideal) == "I(2,1,[3, 1],[2])"
 
 
+def test_constructor_refuses_non_integers():
+    # Ideal(x=1.0) used to construct and then fail with a TypeError in cls_union
+    for kwargs in ({"x": True}, {"x": 1.0}, {"y": False}, {"y": 2.5}, {"x": "1"}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Ideal(**kwargs)
+
+
 def test_split_consistency_spot_checks():
     # replacing the outer union by its (x, 0) split must not change decisions
     from slinf.cls_codes import union_included
@@ -233,3 +240,42 @@ def test_inclusion_rows_match_pointwise_inclusion(family, data):
         sum(1 << j for j, outer in enumerate(family) if is_contained(inner, outer))
         for inner in family
     ]
+
+
+def containing_ideals_pointwise(ideal, width_cap):
+    """The pointwise definition containing_ideals replaced: one is_contained per candidate."""
+    max_l = (ideal.yl[0] if ideal.yl else 0) + ideal.y
+    max_r = (ideal.yr[0] if ideal.yr else 0) + ideal.y
+    left = enumerate_diagrams(width_cap, max_l)
+    right = enumerate_diagrams(width_cap, max_r)
+    found = [
+        cand
+        for x in range(ideal.x + 1)
+        for y in range(ideal.y + 1)
+        for yl in left
+        for yr in right
+        if is_contained(ideal, cand := Ideal(x, y, yl, yr))
+    ]
+    return sorted(found, key=Ideal.sort_key)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.just(AUGMENTATION_IDEAL),
+        st.builds(
+            Ideal,
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.sampled_from(enumerate_diagrams(3, 3)),
+            st.sampled_from(enumerate_diagrams(3, 3)),
+        ),
+    ),
+    st.integers(0, 3),
+)
+def test_containing_ideals_match_pointwise_definition(ideal, width_cap):
+    upset = containing_ideals(ideal, width_cap)
+    assert upset == containing_ideals_pointwise(ideal, width_cap)
+    # the augmentation ideal contains everything, so y > 0 always yields a hit with y' < y (d > 0)
+    assert AUGMENTATION_IDEAL in upset
+    assert (ideal in upset) == (max(len(ideal.yl), len(ideal.yr)) <= width_cap)
