@@ -185,7 +185,7 @@ def _cmd_ideal_weight(args) -> int:
 def _cmd_ideal_upset(args) -> int:
     ideal = _parse_ideal(args.ideal)
     size = upset_size(ideal, args.cap, verify.DEFAULT_CEILING)
-    _refuse_past_ceiling(size, f"the upset of {ideal}", "--cap")
+    _refuse_past_ceiling(size, f"the upset of {ideal}", "--cap or the ideal's x")
     found = containing_ideals(ideal, args.cap)
     _emit([ideal.to_json() for ideal in found])
     return 0

@@ -4,10 +4,18 @@ lam dominates mu when a chain of one-step branchings leads from lam down to
 mu (at equal widths: equal shift classes).  The chain search is the
 brute-force oracle; ``dominates_interlace`` is a closed-form fast path whose
 agreement with the oracle is verified exhaustively by the ``interlace``
-suite rather than assumed.  The remaining predicates test HYPOTHESES of
-closed-form sufficient conditions; their conclusion (dominance) is enforced
-by the verify suites, never inside the predicates, so each piece stays
-falsifiable on its own.
+suite rather than assumed.
+
+A one-step child m of lam has lam_i >= m_i >= lam_{i+1}, so its canonical
+spread m[0] - m[-1] never exceeds lam's.  Spreads only shrink down a chain,
+so the search drops every intermediate narrower in spread than mu: no chain
+through it can end at mu.  This prunes only dead branches and never consults
+a closed form, so a True answer is still witnessed by an explicit chain and
+the suites that replay the oracle still compare two independent routes.
+
+The remaining predicates test HYPOTHESES of closed-form sufficient
+conditions; their conclusion (dominance) is enforced by the verify suites,
+never inside the predicates, so each piece stays falsifiable on its own.
 """
 
 from __future__ import annotations
@@ -18,28 +26,55 @@ from typing import Sequence
 from .partitions import ShiftClass, _children, as_zpartition, canonicalize
 
 
+# The search recurses once per width step, at two interpreter frames a step,
+# so it refuses width gaps past this: about half of the default recursion
+# limit of 1000 frames, which leaves the rest to its callers.
+MAX_CHAIN_DEPTH = 240
+
+
 @cache
 def _dominates(top: ShiftClass, target: ShiftClass) -> bool:
-    # Both arguments canonical, len(top) >= len(target).  Memoized on the
-    # (intermediate, target) pair, so queries against a fixed target share
-    # all intermediate results.
+    # Both arguments canonical, len(top) >= len(target), top[0] >= target[0].
+    # Memoized on the (intermediate, target) pair, so queries against a fixed
+    # target share all intermediate results.  A child never outgrows its
+    # parent's spread, so a child narrower in spread than target has no chain
+    # down to it and is skipped; every child kept satisfies the invariant.
+    # Only dead branches are cut, so a True answer is still a chain found by
+    # search, and no closed form is consulted: this stays the oracle.
     if len(top) == len(target):
         return top == target
-    return any(_dominates(child, target) for child in _children(top))
+    spread = target[0]
+    for child in _children(top):
+        if child[0] >= spread and _dominates(child, target):
+            return True
+    return False
+
+
+def _chain_search(top: ShiftClass, target: ShiftClass) -> bool:
+    # dominates_oracle on canonical classes, which it does not validate again
+    gap = len(top) - len(target)
+    if gap < 0:
+        return False
+    if gap > MAX_CHAIN_DEPTH:
+        raise ValueError(
+            f"the chain oracle searches width gaps up to MAX_CHAIN_DEPTH = {MAX_CHAIN_DEPTH}, "
+            f"got {gap}; decide wider inputs with dominates_interlace (--method interlace)"
+        )
+    if top[0] < target[0]:
+        return False
+    return _dominates(top, target)
 
 
 def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Chain oracle for dominance: search one-step restrictions from lam down to mu.
 
     Intermediates are canonicalized at every step, which keeps the search
-    space finite (entries stay bounded by lam[0] - lam[-1]).  Shifting
-    either argument does not change the answer.  A wider mu yields False.
+    space finite (entries stay bounded by lam[0] - lam[-1]), and those
+    narrower in spread than mu are pruned.  Shifting either argument does not
+    change the answer.  A wider mu yields False.  A width gap past
+    MAX_CHAIN_DEPTH raises ValueError.
     """
-    top = canonicalize(lam)
-    target = canonicalize(mu)
-    if len(top) < len(target):
-        return False
-    return _dominates(top, target)
+    return _chain_search(canonicalize(lam), canonicalize(mu))
 
 
 def dominates_interlace(lam: Sequence[int], mu: Sequence[int]) -> bool:

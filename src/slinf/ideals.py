@@ -352,12 +352,25 @@ def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -
 
 
 def upset_size(ideal: Ideal, width_cap: int, cap: int) -> int:
-    """How many candidates containing_ideals decides: exact up to cap, some number past cap beyond it."""
+    """How much work containing_ideals does: exact up to cap, some number past cap beyond it.
+
+    Per y', it decides (x + 1)·#left·#right candidates, fills the table of right
+    halves with sum_e (x - e + 1)·#right = C(x + 2, 2)·#right seq_slack calls,
+    and decides the rows with up to sum_x' (x' + 1)(x - x' + 1)·#left =
+    C(x + 3, 3)·#left more: row (x', L) tries up to x - x' + 1 codes for each
+    of its x' + 1 splits.  So the work grows as x**3 even when the
+    candidates grow only as x.
+    """
     if ideal.zero or width_cap < 0:
         return 0  # containing_ideals refuses these before deciding anything
     max_l, max_r = _longest_columns(ideal)
-    diagrams = diagram_count(width_cap, max_l, cap) * diagram_count(width_cap, max_r, cap)
-    return (ideal.x + 1) * (ideal.y + 1) * diagrams
+    left = diagram_count(width_cap, max_l, cap)
+    right = diagram_count(width_cap, max_r, cap)
+    x = ideal.x
+    candidates = (x + 1) * left * right
+    table = capped_comb(x + 2, 2, cap) * right
+    rows = capped_comb(x + 3, 3, cap) * left
+    return (ideal.y + 1) * (candidates + table + rows)
 
 
 def _longest_columns(ideal: Ideal) -> tuple[int, int]:

@@ -6,6 +6,10 @@ infinite); truncation lives in the test window.  A system is *precoherent*
 when membership is closed downward under dominance, and *coherent* when in
 addition every member extends one width up to a dominating member.
 
+Membership validates each partition once per decision: the avoiding system
+canonicalizes both arguments and calls the memoized chain search directly,
+and the gap union tests every index pair against one validated mu.
+
 Dominance is the reflexive-transitive closure of one branching step, and a
 child never outgrows its parent's canonical spread, so every chain from a
 window member stays in the window: the window checks look one step down.
@@ -16,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dominance import dominates_oracle
+from .dominance import _chain_search
 from .partitions import ShiftClass, _children, as_zpartition, canonicalize, enumerate_classes
 
 
@@ -55,15 +59,15 @@ def avoiding_system_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
 
     Everything of smaller width belongs; at lam's width everything except
     lam's own class; above lam's width exactly the classes that do not
-    dominate lam.
+    dominate lam (a width gap past MAX_CHAIN_DEPTH raises ValueError).
     """
-    lam = as_zpartition(lam)
-    mu = as_zpartition(mu)
+    lam = canonicalize(lam)
+    mu = canonicalize(mu)
     if len(mu) < len(lam):
         return True
     if len(mu) == len(lam):
-        return canonicalize(mu) != canonicalize(lam)
-    return not dominates_oracle(mu, lam)
+        return mu != lam
+    return not _chain_search(mu, lam)
 
 
 def avoiding_system(lam: Sequence[int]) -> LocalSystem:
@@ -93,17 +97,22 @@ def gap_union_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Membership in the union of gap systems over all index pairs of lam.
 
     mu belongs iff mu_k - mu_{#mu - #lam + l} < lam_k - lam_l for some pair
-    1 <= k < l <= #lam.  Needs #lam >= 2 (no pairs exist otherwise).
+    1 <= k < l <= #lam, or #mu < #lam.  Needs #lam >= 2 (no pairs exist
+    otherwise).  The same test as gap_system_contains over every pair, with
+    mu validated once.
     """
     lam = as_zpartition(lam)
     if len(lam) < 2:
         raise ValueError("the gap union needs a partition of width >= 2")
     mu = as_zpartition(mu)
     n = len(lam)
+    off = len(mu) - n
+    if off < 0:
+        return True
     return any(
-        gap_system_contains(k, l, lam[k - 1] - lam[l - 1], n, mu)
-        for k in range(1, n + 1)
-        for l in range(k + 1, n + 1)
+        mu[k] - mu[off + l] < lam[k] - lam[l]
+        for k in range(n)
+        for l in range(k + 1, n)
     )
 
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
+from operator import add
 from typing import Sequence
 
 ZPartition = tuple[int, ...]
@@ -49,10 +50,11 @@ def as_zpartition(entries: Sequence[int]) -> ZPartition:
     part = tuple(entries)
     if not part:
         raise ValueError("a Z-partition must have width >= 1")
-    for v in part:
-        if type(v) is not int:  # as_int, inlined: every dominance query passes here
-            as_int(v, "a Z-partition entry")
-    if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
+    # Both checks run in C-level builtins: every dominance query passes here.
+    if set(map(type, part)) != {int}:
+        for v in part:
+            as_int(v, "a Z-partition entry")  # the first non-int raises
+    if sorted(part, reverse=True) != list(part):
         raise ValueError(f"Z-partition entries must be nonincreasing: {list(part)}")
     return part
 
@@ -102,12 +104,13 @@ def _children(lam: ShiftClass) -> frozenset[ShiftClass]:
     # lam is canonical with width >= 2.  Every child class has a
     # representative m with lam[i] >= m[i] >= lam[i + 1] (the shift D
     # absorbed into m), so generating all such m and canonicalizing is
-    # exhaustive.
-    spans = [range(lam[i + 1], lam[i] + 1) for i in range(len(lam) - 1)]
+    # exhaustive.  Canonicalizing an m with last entry d subtracts d, so the
+    # canonical children ending that way are the tuples with
+    # lam[i + 1] - d <= m[i] <= lam[i] - d, followed by 0.
     out = set()
-    for m in product(*spans):
-        d = m[-1]
-        out.add(m if d == 0 else tuple(v - d for v in m))
+    for d in range(lam[-2] + 1):
+        spans = [range(lam[i + 1] - d, lam[i] - d + 1) for i in range(len(lam) - 2)]
+        out.update(map(add, product(*spans), repeat((0,))))
     return frozenset(out)
 
 

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slinf.cli import main
 
@@ -252,3 +255,49 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "bogus-verb")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "--help")[0] == 0
+
+
+def test_wide_inputs_refuse_cleanly(capsys):
+    # the chain search recursed once per width step and died in RecursionError
+    wide = json.dumps([1] * 750 + [0] * 750)
+    for argv in (["dominates", wide, "[1,0]"], ["qvee", "[1,0]", wide]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "unexpected" not in err, err
+        assert "MAX_CHAIN_DEPTH" in err and "--method interlace" in err, err
+    assert run(capsys, "dominates", wide, "[1,0]", "--method", "interlace")[:2] == (0, "true\n")
+
+
+def test_upset_guard_counts_work_not_candidates(capsys):
+    # 3 001 candidates, but about 4.5 * 10**9 code comparisons: it ran for minutes
+    start = time.process_time()
+    code, out, err = run(capsys, "ideal", "upset", '{"x":3000}', "--cap", "0")
+    assert (code, out) == (2, "") and "more than 10000000 inclusion checks" in err, err
+    assert time.process_time() - start < 5
+
+
+json_scalars = st.one_of(
+    st.integers(-4, 4), st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+    st.text(max_size=2), st.none(),
+)
+partitions = st.lists(st.integers(-4, 4), min_size=1, max_size=8).map(
+    lambda xs: sorted(xs, reverse=True)
+)
+json_arrays = st.one_of(  # about half of the pairs are valid partitions
+    partitions, partitions, partitions, partitions, partitions,
+    st.lists(st.integers(-4, 4), max_size=8),
+    st.lists(st.one_of(json_scalars, st.lists(st.integers(0, 2), max_size=2)), max_size=4),
+)
+
+
+@given(st.sampled_from(["dominates", "qvee", "qlambda"]), json_arrays, json_arrays)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_membership_commands_fuzz(command, lam, mu):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, json.dumps(lam), json.dumps(mu)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+    else:
+        assert json.loads(out.getvalue()) is (code == 0)

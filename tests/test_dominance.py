@@ -1,7 +1,11 @@
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slinf import dominance
 from slinf.dominance import (
+    MAX_CHAIN_DEPTH,
     dominates_interlace,
     dominates_oracle,
     equal_ends_hypotheses,
@@ -9,7 +13,8 @@ from slinf.dominance import (
     tight_gaps_hypotheses,
     wide_window_hypotheses,
 )
-from slinf.partitions import canonicalize, enumerate_classes, shift
+from slinf.local_systems import avoiding_system_contains
+from slinf.partitions import _children, canonicalize, enumerate_classes, shift
 
 small_partitions = st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -159,3 +164,99 @@ def test_equal_ends_implies_dominance_wide_lambda_grid():
                 fired += 1
                 assert dominates_oracle(mu, lam), (lam, mu)
     assert fired > 0
+
+
+@cache
+def _dominates_unpruned(top, target):
+    # the chain search before spread pruning, kept verbatim as the reference
+    if len(top) == len(target):
+        return top == target
+    return any(_dominates_unpruned(child, target) for child in _children(top))
+
+
+def dominates_reference(lam, mu):
+    top, target = canonicalize(lam), canonicalize(mu)
+    return len(top) >= len(target) and _dominates_unpruned(top, target)
+
+
+def avoiding_reference(lam, mu):
+    if len(mu) < len(lam):
+        return True
+    if len(mu) == len(lam):
+        return canonicalize(mu) != canonicalize(lam)
+    return not dominates_reference(mu, lam)
+
+
+def pruned_search_space(top, target):
+    """Every class the pruned search may memoize: reachable from top through spreads >= target's."""
+    if len(top) < len(target) or top[0] < target[0]:
+        return set()
+    seen, todo = {top}, [top]
+    while todo:
+        lam = todo.pop()
+        if len(lam) > len(target):
+            fresh = {c for c in _children(lam) if c[0] >= target[0]} - seen
+            seen |= fresh
+            todo.extend(fresh)
+    return seen
+
+
+def shifted_partition(width):
+    return st.tuples(
+        st.lists(st.integers(0, 6), min_size=width, max_size=width), st.integers(-5, 5)
+    ).map(lambda t: tuple(sorted((v + t[1] for v in t[0]), reverse=True)))
+
+
+@st.composite
+def wide_pairs(draw):
+    # past the frozen interlace grid (widths <= 5, entries <= 4), in any shift;
+    # width gaps of at most 3 keep false answers common
+    width = draw(st.integers(1, 8))
+    narrower = min(8, max(1, width - draw(st.integers(-1, 3))))
+    return draw(shifted_partition(width)), draw(shifted_partition(narrower))
+
+
+@given(wide_pairs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_pruned_oracle_matches_unpruned_search(pair):
+    lam, mu = pair
+    dominance._dominates.cache_clear()
+    assert dominates_oracle(lam, mu) == dominates_reference(lam, mu), (lam, mu)
+    # the pruning is taken: no class of smaller spread than mu is searched,
+    # and a root of smaller spread answers before the search starts
+    space = pruned_search_space(canonicalize(lam), canonicalize(mu))
+    assert dominance._dominates.cache_info().currsize <= len(space), (lam, mu)
+    assert avoiding_system_contains(lam, mu) == avoiding_reference(lam, mu), (lam, mu)
+    assert avoiding_system_contains(mu, lam) == avoiding_reference(mu, lam), (lam, mu)
+
+
+def test_oracle_decides_by_chain_search_alone(monkeypatch):
+    # the suites replay the closed forms against the oracle, so it must not consult them
+    def forbidden(*args):
+        raise AssertionError("the chain oracle consulted a closed form")
+
+    for name in ("dominates_interlace", "gap_criterion"):
+        monkeypatch.setattr(dominance, name, forbidden)
+    monkeypatch.setattr("slinf.partitions.is_gt_step", forbidden)
+    dominance._dominates.cache_clear()
+    classes = all_classes(5, 3)
+    for lam in classes:
+        for mu in classes:
+            assert dominates_oracle(lam, mu) == dominates_reference(lam, mu), (lam, mu)
+            assert avoiding_system_contains(lam, mu) == avoiding_reference(lam, mu), (lam, mu)
+
+
+def test_chain_depth_limit_refuses_wider_gaps():
+    # (1, 0, ..., 0) reaches (1, 0) along one chain, so the deepest allowed
+    # search is cheap, and it must fit in the interpreter's stack under pytest
+    dominance._dominates.cache_clear()  # no memoized tail may shorten the recursion
+    deepest = (1,) + (0,) * (MAX_CHAIN_DEPTH + 1)
+    assert dominates_oracle(deepest, (1, 0)) is True
+    assert avoiding_system_contains((1, 0), deepest) is False
+    too_deep = deepest + (0,)
+    for decide in (lambda: dominates_oracle(too_deep, (1, 0)),
+                   lambda: avoiding_system_contains((1, 0), too_deep)):
+        with pytest.raises(ValueError, match=f"MAX_CHAIN_DEPTH = {MAX_CHAIN_DEPTH}.*--method interlace"):
+            decide()
+    # a narrower top answers False without searching, at any width gap
+    assert dominates_oracle((1, 0), too_deep) is False

@@ -219,3 +219,20 @@ def test_window_checks_match_all_pairs_reference():
     check()
     # both answers of both checks occur, so the agreement is not vacuous
     assert verdicts == {("pre", True), ("pre", False), ("co", True), ("co", False)}
+
+
+def test_membership_keeps_validating_each_argument():
+    bad_inputs = {
+        (): "a Z-partition must have width >= 1",
+        (2, 1.5, 0): "a Z-partition entry must be an integer, got 1.5",
+        (True, 0): "a Z-partition entry must be an integer, got True",
+        (2, "1", True): "a Z-partition entry must be an integer, got '1'",
+        (0, 1): "Z-partition entries must be nonincreasing: [0, 1]",
+    }
+    good = (2, 1, 0)
+    for decide in (avoiding_system_contains, gap_union_contains, dominates_oracle):
+        for bad, message in bad_inputs.items():
+            for args in ((bad, good), (good, bad)):
+                with pytest.raises(ValueError) as info:
+                    decide(*args)
+                assert str(info.value) == message, (decide.__name__, args)
