@@ -12,7 +12,6 @@ from .cls_codes import (
     code_included,
     code_included_oracle,
     code_rows,
-    normalize,
     seq_leq_shifted,
     seq_slack,
     union_included,
@@ -22,6 +21,7 @@ from .dominance import (
     dominates_oracle,
     equal_ends_hypotheses,
     gap_criterion,
+    is_gt_step,
     tight_gaps_hypotheses,
     wide_window_hypotheses,
 )
@@ -63,7 +63,6 @@ from .partitions import (
     enumerate_classes,
     gt_children,
     is_canonical,
-    is_gt_step,
     shift,
 )
 from .verify import VerifyReport, run_suite, suite_names

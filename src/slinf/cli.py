@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dominates", help="does the first partition dominate the second?")
     p.add_argument("lam", help="JSON array, e.g. [2,1,0]")
     p.add_argument("mu", help="JSON array, e.g. [1,0]")
-    p.add_argument("--method", choices=["oracle", "interlace", "criterion4x"], default="oracle")
+    p.add_argument("--method", choices=["oracle", "interlace", "criterion4x"], default="interlace")
     p.set_defaults(func=_cmd_dominates)
 
     p = sub.add_parser("qvee", help="membership of mu in the largest system avoiding lam")

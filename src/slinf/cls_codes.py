@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import as_int
+from .partitions import as_array, as_int
 
 INF = float("inf")
 
@@ -75,12 +75,9 @@ class ExtSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtSequence":
-        return cls(obj.get("inf", 0), tuple(obj.get("head", [])), obj["tail"])
-
-
-def normalize(seq: ExtSequence) -> ExtSequence:
-    """Normalization as a free function; same as seq.normalized()."""
-    return seq.normalized()
+        if not isinstance(obj, dict) or "tail" not in obj:
+            raise ValueError(f"expected a JSON object with a 'tail', got {obj!r}")
+        return cls(obj.get("inf", 0), as_array(obj.get("head", []), "head"), obj["tail"])
 
 
 @dataclass(frozen=True)

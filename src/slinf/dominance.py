@@ -1,10 +1,11 @@
 """The dominance order on Z-partitions.
 
 lam dominates mu when a chain of one-step branchings leads from lam down to
-mu (at equal widths: equal shift classes).  The chain search is the
-brute-force oracle; ``dominates_interlace`` is a closed-form fast path whose
-agreement with the oracle is verified exhaustively by the ``interlace``
-suite rather than assumed.
+mu (at equal widths: equal shift classes).  Decisions use the closed form
+``dominates_interlace`` (Gelfand-Tsetlin interlacing of some shift of mu
+into lam).  The chain search ``dominates_oracle`` is the brute-force
+reference that the ``interlace``, ``lgts2``, ``lemmas`` and ``pmain`` suites
+replay the closed forms against; no default decision route runs it.
 
 A one-step child m of lam has lam_i >= m_i >= lam_{i+1}, so its canonical
 spread m[0] - m[-1] never exceeds lam's.  Spreads only shrink down a chain,
@@ -50,8 +51,16 @@ def _dominates(top: ShiftClass, target: ShiftClass) -> bool:
     return False
 
 
-def _chain_search(top: ShiftClass, target: ShiftClass) -> bool:
-    # dominates_oracle on canonical classes, which it does not validate again
+def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
+    """Chain oracle for dominance: search one-step restrictions from lam down to mu.
+
+    Intermediates are canonicalized at every step, which keeps the search
+    space finite (entries stay bounded by lam[0] - lam[-1]), and those
+    narrower in spread than mu are pruned.  Shifting either argument does not
+    change the answer.  A wider mu yields False.  A width gap past
+    MAX_CHAIN_DEPTH raises ValueError.
+    """
+    top, target = canonicalize(lam), canonicalize(mu)
     gap = len(top) - len(target)
     if gap < 0:
         return False
@@ -63,18 +72,6 @@ def _chain_search(top: ShiftClass, target: ShiftClass) -> bool:
     if top[0] < target[0]:
         return False
     return _dominates(top, target)
-
-
-def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """Chain oracle for dominance: search one-step restrictions from lam down to mu.
-
-    Intermediates are canonicalized at every step, which keeps the search
-    space finite (entries stay bounded by lam[0] - lam[-1]), and those
-    narrower in spread than mu are pruned.  Shifting either argument does not
-    change the answer.  A wider mu yields False.  A width gap past
-    MAX_CHAIN_DEPTH raises ValueError.
-    """
-    return _chain_search(canonicalize(lam), canonicalize(mu))
 
 
 def dominates_interlace(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -93,6 +90,11 @@ def dominates_interlace(lam: Sequence[int], mu: Sequence[int]) -> bool:
     lo = max(lam[i + gap] - mu[i] for i in range(len(mu)))
     hi = min(lam[i] - mu[i] for i in range(len(mu)))
     return lo <= hi
+
+
+def is_gt_step(lam: Sequence[int], mu: Sequence[int]) -> bool:
+    """One-step branching relation: interlacing at a width gap of exactly one (False at any other)."""
+    return dominates_interlace(lam, mu) and len(lam) - len(mu) == 1
 
 
 def gap_criterion(mu: Sequence[int], lam: Sequence[int]) -> bool:
@@ -143,14 +145,11 @@ def tight_gaps_hypotheses(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """
     lam = as_zpartition(lam)
     mu = as_zpartition(mu)
-    if len(mu) < 2 * len(lam):
+    if len(mu) < 2 * len(lam) or not gap_criterion(mu, lam):
         return False
     off = len(mu) - len(lam)
     n = len(lam)
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    if not all(mu[k] - mu[off + l] >= lam[k] - lam[l] for k, l in pairs):
-        return False
-    return any(mu[k] - mu[off + l] == lam[k] - lam[l] for k, l in pairs)
+    return any(mu[k] - mu[off + l] == lam[k] - lam[l] for k in range(n) for l in range(k + 1, n))
 
 
 def wide_window_hypotheses(lam: Sequence[int], mu: Sequence[int], i: int) -> bool:

@@ -6,12 +6,16 @@ diagrams.  Distinct tuples name distinct ideals, so equality is structural;
 the zero ideal is carried along as the bottom element of the order.
 
 Inclusion between nonzero ideals is decided exclusively through their
-sequence-code unions (one code per split c + d = x) and the code inclusion
-order -- the route that reproduces the maximality and ascending-chain
-corollaries.  A direct closed-form condition on the diagram columns exists
-in the literature but disagrees with those corollaries as printed; it is
-kept here (``diagram_order_condition``) purely so the ``tord-discrepancy``
-verify suite can report the disagreement, and is never used for decisions.
+sequence codes (one code per split c + d = x) and the code inclusion order --
+the route that reproduces the maximality and ascending-chain corollaries.
+A single ideal pair compares the outer ideal's (x, 0) split with the inner
+ideal's codes (``is_contained``); a whole family is decided on the full code
+unions at once (``inclusion_rows``), and the ``split-consistency`` suite
+replays one route against the other.  A direct closed-form condition on the
+diagram columns exists in the literature but disagrees with those corollaries
+as printed; it is kept here (``diagram_order_condition``) purely so the
+``tord-discrepancy`` verify suite can report the disagreement, and is never
+used for decisions.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from functools import cache
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .cls_codes import ClsCode, ExtSequence, bit_indices, code_rows, seq_slack, union_included
-from .partitions import YoungDiagram, as_int, as_young_diagram, capped_comb
+from .cls_codes import ClsCode, ExtSequence, bit_indices, code_included, code_rows, seq_slack
+from .partitions import YoungDiagram, as_array, as_int, as_young_diagram, capped_comb
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,8 @@ class Ideal:
         return cls(
             x=obj.get("x", 0),
             y=obj.get("y", 0),
-            yl=tuple(obj.get("yl", [])),
-            yr=tuple(obj.get("yr", [])),
+            yl=as_array(obj.get("yl", []), "yl"),
+            yr=as_array(obj.get("yr", []), "yr"),
         )
 
 
@@ -89,37 +93,44 @@ def code_sequence(inf_count: int, base: int, diagram: Sequence[int]) -> ExtSeque
     return ExtSequence(inf_count, tuple(base + l for l in diagram), base)
 
 
+def split_code(ideal: Ideal, c: int) -> ClsCode:
+    """The code of a nonzero ideal's split c + d = x: c infinities on the left, d on the right."""
+    if ideal.zero:
+        raise ValueError("the zero ideal has no sequence code")
+    return ClsCode(code_sequence(c, ideal.y, ideal.yl), code_sequence(ideal.x - c, ideal.y, ideal.yr))
+
+
 @cache
 def cls_union(ideal: Ideal) -> frozenset[ClsCode]:
     """The codes of a nonzero ideal: one per split c + d = x (x + 1 in all).
 
     The zero ideal has no code in this encoding and is rejected.
     """
-    if ideal.zero:
-        raise ValueError("the zero ideal has no sequence code")
-    return frozenset(
-        ClsCode(
-            code_sequence(c, ideal.y, ideal.yl),
-            code_sequence(ideal.x - c, ideal.y, ideal.yr),
-        )
-        for c in range(ideal.x + 1)
-    )
+    return frozenset(split_code(ideal, c) for c in range(ideal.x + 1))
 
 
-@cache
 def is_contained(inner: Ideal, outer: Ideal) -> bool:
-    """Ideal inclusion inner <= outer, decided through the code unions.
+    """Ideal inclusion inner <= outer, decided through the codes.
 
     The zero ideal sits below everything and above nothing else.  For two
     nonzero ideals the inclusion reverses on codes: the smaller ideal
     annihilates more, so inner <= outer iff every code of *outer* is
     included in some code of *inner*.
+
+    Only the (x, 0) split of outer is compared, which is exact.  Split c of
+    outer is the (x, 0) split with x - c leading infinities moved from the
+    left half to the right half.  Adding the same number of leading
+    infinities to both sides of a comparison leaves seq_slack unchanged, so
+    if the (x, 0) split is included in inner's split c0 (which needs
+    c0 >= x), then split c is included in inner's split c0 - (x - c).  The
+    ``split-consistency`` suite replays this against the full unions.
     """
     if inner.zero:
         return True
     if outer.zero:
         return False
-    return union_included(cls_union(outer), cls_union(inner))
+    single = split_code(outer, outer.x)
+    return any(code_included(single, code) for code in cls_union(inner))
 
 
 def inclusion_rows(ideals: Sequence[Ideal]) -> list[int]:
@@ -410,7 +421,7 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     max_l, max_r = _longest_columns(ideal)
     left = enumerate_diagrams(width_cap, max_l)
     right = enumerate_diagrams(width_cap, max_r)
-    codes = sorted(cls_union(ideal), key=lambda code: code.p.inf_count)  # codes[c0]: split c0 + (x - c0)
+    codes = [split_code(ideal, c0) for c0 in range(ideal.x + 1)]
     full = (1 << len(right)) - 1
     found = []
     for y in range(ideal.y + 1):

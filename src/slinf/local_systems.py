@@ -6,9 +6,10 @@ infinite); truncation lives in the test window.  A system is *precoherent*
 when membership is closed downward under dominance, and *coherent* when in
 addition every member extends one width up to a dominating member.
 
-Membership validates each partition once per decision: the avoiding system
-canonicalizes both arguments and calls the memoized chain search directly,
-and the gap union tests every index pair against one validated mu.
+Membership is decided in closed form and validates each partition once per
+decision: the avoiding system by Gelfand-Tsetlin interlacing
+(``dominates_interlace``), the gap union by testing every index pair against
+one validated mu.
 
 Dominance is the reflexive-transitive closure of one branching step, and a
 child never outgrows its parent's canonical spread, so every chain from a
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dominance import _chain_search
+from .dominance import dominates_interlace
 from .partitions import ShiftClass, _children, as_zpartition, canonicalize, enumerate_classes
 
 
@@ -59,15 +60,12 @@ def avoiding_system_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
 
     Everything of smaller width belongs; at lam's width everything except
     lam's own class; above lam's width exactly the classes that do not
-    dominate lam (a width gap past MAX_CHAIN_DEPTH raises ValueError).
+    dominate lam.  That is the definition read through dominance, which is
+    the class equality at equal widths and False for a narrower mu, so it is
+    decided by interlacing at any width gap.  The ``pmain`` suite replays the
+    same membership through the chain oracle.
     """
-    lam = canonicalize(lam)
-    mu = canonicalize(mu)
-    if len(mu) < len(lam):
-        return True
-    if len(mu) == len(lam):
-        return mu != lam
-    return not _chain_search(mu, lam)
+    return not dominates_interlace(mu, lam)
 
 
 def avoiding_system(lam: Sequence[int]) -> LocalSystem:

@@ -33,6 +33,13 @@ def as_int(value, what: str) -> int:
     return value
 
 
+def as_array(value, what: str) -> tuple:
+    """Strict array check for decoded JSON: a list or tuple, so scalars, strings and objects are refused."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{what} must be an array, got {value!r}")
+    return tuple(value)
+
+
 def capped_comb(n: int, k: int, cap: int) -> int:
     """C(n, k) when it is at most cap, cap + 1 when it is larger; cheap for any n and k.
 
@@ -78,25 +85,6 @@ def canonicalize(lam: Sequence[int]) -> ShiftClass:
 
 def is_canonical(lam: Sequence[int]) -> bool:
     return as_zpartition(lam)[-1] == 0
-
-
-def is_gt_step(lam: Sequence[int], mu: Sequence[int]) -> bool:
-    """One-step branching relation: does some shift of mu interlace lam?
-
-    True iff the width of mu is exactly one less than the width of lam and
-    there is an integer D with lam[i] >= mu[i] + D >= lam[i + 1] for all i,
-    decided as nonemptiness of the interval
-    [max_i(lam[i+1] - mu[i]), min_i(lam[i] - mu[i])].
-    Width mismatch returns False rather than raising.  Invariant under
-    shifting either argument.
-    """
-    lam = as_zpartition(lam)
-    mu = as_zpartition(mu)
-    if len(mu) != len(lam) - 1:
-        return False
-    lo = max(lam[i + 1] - mu[i] for i in range(len(mu)))
-    hi = min(lam[i] - mu[i] for i in range(len(mu)))
-    return lo <= hi
 
 
 @cache

@@ -39,14 +39,14 @@ from .ideals import (
     Ideal,
     acc_measure,
     cls_union,
-    code_sequence,
     diagram_order_condition,
     enumerate_ideals,
     family_size,
     inclusion_rows,
     is_contained,
+    split_code,
 )
-from .local_systems import avoiding_system_contains, gap_union_contains
+from .local_systems import gap_union_contains
 from .partitions import class_count, enumerate_classes
 
 DEFAULT_CEILING = 10_000_000
@@ -413,10 +413,7 @@ def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     bad = _Collector()
     rows = inclusion_rows(family)
     # the single split (c, d) = (x, 0) of each outer ideal's union
-    singles = [
-        ClsCode(code_sequence(outer.x, outer.y, outer.yl), code_sequence(0, outer.y, outer.yr))
-        for outer in family
-    ]
+    singles = [split_code(outer, outer.x) for outer in family]
     for inner, row in zip(family, rows):
         inner_union = cls_union(inner)
         for j, (outer, single_code) in enumerate(zip(family, singles)):
@@ -500,9 +497,11 @@ _SUITES = {
     ),
     "interlace": _suite_interlace,
     "lemmas": _suite_lemmas,
+    # the avoiding system's membership replayed through the chain oracle:
+    # mu belongs iff it does not dominate lam
     "pmain": _agreement_suite(
         "pmain",
-        "avoiding_system", lambda lam, mu: avoiding_system_contains(lam, mu),
+        "avoiding_system", lambda lam, mu: not dominates_oracle(mu, lam),
         "gap_union", lambda lam, mu: gap_union_contains(lam, mu),
     ),
     "tiap-order": _suite_tiap_order,

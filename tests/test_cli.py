@@ -44,9 +44,17 @@ def test_criterion4x_refuses_below_quadruple_width(capsys):
         assert run(capsys, "dominates", wide, narrow)[:2] == answer
 
 
-def test_unexpected_exceptions_exit_2(capsys):
-    # "yl": null reaches the library as None and raises TypeError there
+def test_unexpected_exceptions_exit_2(capsys, monkeypatch):
+    # "yl": null used to reach the library as None and raise TypeError there;
+    # the decoder now refuses it as an ordinary error
     code, out, err = run(capsys, "ideal", "include", '{"x":1,"yl":null}', '{"x":1}')
+    assert (code, out) == (2, "") and "yl must be an array" in err and "unexpected" not in err
+
+    def broken(*args):
+        raise TypeError("a library fault\nover two lines")
+
+    monkeypatch.setattr("slinf.cli.is_contained", broken)
+    code, out, err = run(capsys, "ideal", "include", '{"x":1}', '{"x":1}')
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "TypeError" in err
 
@@ -258,13 +266,16 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_wide_inputs_refuse_cleanly(capsys):
-    # the chain search recursed once per width step and died in RecursionError
+    # the chain search recursed once per width step and died in RecursionError;
+    # only the oracle route runs it, and it refuses past its depth limit
     wide = json.dumps([1] * 750 + [0] * 750)
-    for argv in (["dominates", wide, "[1,0]"], ["qvee", "[1,0]", wide]):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and "unexpected" not in err, err
-        assert "MAX_CHAIN_DEPTH" in err and "--method interlace" in err, err
-    assert run(capsys, "dominates", wide, "[1,0]", "--method", "interlace")[:2] == (0, "true\n")
+    code, out, err = run(capsys, "dominates", wide, "[1,0]", "--method", "oracle")
+    assert (code, out) == (2, "") and "unexpected" not in err, err
+    assert "MAX_CHAIN_DEPTH" in err and "--method interlace" in err, err
+    # the default routes decide by interlacing at any width
+    for argv in (["dominates", wide, "[1,0]"], ["dominates", wide, "[1,0]", "--method", "interlace"]):
+        assert run(capsys, *argv) == (0, "true\n", "")
+    assert run(capsys, "qvee", "[1,0]", wide) == (1, "false\n", "")
 
 
 def test_upset_guard_counts_work_not_candidates(capsys):
@@ -289,15 +300,69 @@ json_arrays = st.one_of(  # about half of the pairs are valid partitions
 )
 
 
-@given(st.sampled_from(["dominates", "qvee", "qlambda"]), json_arrays, json_arrays)
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_membership_commands_fuzz(command, lam, mu):
+def assert_bool_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, json.dumps(lam), json.dumps(mu)])
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
     else:
         assert json.loads(out.getvalue()) is (code == 0)
+
+
+@given(st.sampled_from(["dominates", "qvee", "qlambda"]), json_arrays, json_arrays)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_membership_commands_fuzz(command, lam, mu):
+    assert_bool_contract([command, json.dumps(lam), json.dumps(mu)])
+
+
+json_values = st.one_of(json_scalars, st.lists(st.integers(-1, 3), max_size=3))
+# top-level arguments that are not objects; one starting with "-" would be read as an option
+non_objects = st.one_of(st.lists(st.integers(0, 3), max_size=2), st.text(max_size=2), st.booleans(), st.none())
+
+
+def malformed(valid, keys):
+    """A valid object with one field set to any JSON value, or an object of any values under those keys."""
+    return st.one_of(
+        st.builds(lambda obj, key, value: {**obj, key: value}, valid, st.sampled_from(keys), json_values),
+        st.dictionaries(st.sampled_from(keys), json_values, max_size=len(keys)),
+    )
+
+
+diagrams = st.lists(st.integers(1, 3), max_size=3).map(lambda cols: sorted(cols, reverse=True))
+valid_ideals = st.fixed_dictionaries(
+    {"x": st.integers(0, 4), "y": st.integers(0, 3), "yl": diagrams, "yr": diagrams}
+)
+ideal_args = st.one_of(
+    valid_ideals, st.just({"zero": True}), non_objects,
+    malformed(valid_ideals, ["x", "y", "yl", "yr", "zero"]),
+)
+
+
+def sequences(tail):
+    return st.builds(
+        lambda inf, head: {"inf": inf, "head": sorted((tail + h for h in head), reverse=True), "tail": tail},
+        st.integers(0, 2), st.lists(st.integers(1, 3), max_size=2),
+    )
+
+
+valid_sequences = st.integers(0, 2).flatmap(sequences)
+valid_codes = st.integers(0, 2).flatmap(lambda m: st.fixed_dictionaries({"p": sequences(m), "q": sequences(m)}))
+code_args = st.one_of(
+    valid_codes, non_objects,
+    malformed(valid_codes, ["p", "q"]),
+    st.fixed_dictionaries({
+        "p": st.one_of(valid_sequences, malformed(valid_sequences, ["inf", "head", "tail"])),
+        "q": st.one_of(valid_sequences, malformed(valid_sequences, ["inf", "head", "tail"])),
+    }),
+)
+
+
+@given(st.sampled_from(["ideal", "cls"]), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_include_commands_fuzz(family, data):
+    valid, anything = (valid_ideals, ideal_args) if family == "ideal" else (valid_codes, code_args)
+    pair = data.draw(st.one_of(st.tuples(valid, valid), st.tuples(anything, anything)))  # half answerable
+    assert_bool_contract([family, "include", *map(json.dumps, pair)])

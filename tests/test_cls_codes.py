@@ -10,7 +10,6 @@ from slinf.cls_codes import (
     code_included,
     code_included_oracle,
     code_rows,
-    normalize,
     seq_leq_shifted,
     seq_slack,
     union_included,
@@ -36,10 +35,10 @@ ext_sequences = st.builds(
 
 
 def test_normalize_examples():
-    assert normalize(ExtSequence(0, (3, 1, 1), 1)) == ExtSequence(0, (3,), 1)
+    assert ExtSequence(0, (3, 1, 1), 1).normalized() == ExtSequence(0, (3,), 1)
     s = ExtSequence(2, (), 0)
-    assert normalize(s) == s
-    assert normalize(ExtSequence(0, (0,), 0)) == ExtSequence(0, (), 0)
+    assert s.normalized() == s
+    assert ExtSequence(0, (0,), 0).normalized() == ExtSequence(0, (), 0)
 
 
 @given(ext_sequences)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from slinf.dominance import is_gt_step
 from slinf.partitions import (
     as_young_diagram,
     as_zpartition,
@@ -10,7 +11,6 @@ from slinf.partitions import (
     enumerate_classes,
     gt_children,
     is_canonical,
-    is_gt_step,
     shift,
 )
 
