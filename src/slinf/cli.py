@@ -46,17 +46,11 @@ def _parse_partition(text: str):
 
 
 def _parse_ideal(text: str) -> Ideal:
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object describing an ideal, got {text!r}")
-    return Ideal.from_json(obj)
+    return Ideal.from_json(json.loads(text))
 
 
 def _parse_code(text: str) -> ClsCode:
-    obj = json.loads(text)
-    if not isinstance(obj, dict) or "p" not in obj or "q" not in obj:
-        raise ValueError(f"expected a JSON object with 'p' and 'q', got {text!r}")
-    return ClsCode.from_json(obj)
+    return ClsCode.from_json(json.loads(text))
 
 
 def _parse_widths(text: str) -> tuple[int, int]:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 
-from .partitions import as_array, as_int
+from .partitions import as_array, as_int, as_object
 
 INF = float("inf")
 
@@ -75,8 +76,7 @@ class ExtSequence:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExtSequence":
-        if not isinstance(obj, dict) or "tail" not in obj:
-            raise ValueError(f"expected a JSON object with a 'tail', got {obj!r}")
+        as_object(obj, ("inf", "head", "tail"), "a sequence", required=("tail",))
         return cls(obj.get("inf", 0), as_array(obj.get("head", []), "head"), obj["tail"])
 
 
@@ -115,6 +115,7 @@ class ClsCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ClsCode":
+        as_object(obj, ("p", "q"), "a code", required=("p", "q"))
         return cls(ExtSequence.from_json(obj["p"]), ExtSequence.from_json(obj["q"]))
 
 
@@ -132,22 +133,25 @@ def seq_leq_shifted(inner: ExtSequence, outer: ExtSequence, a: int) -> bool:
     return all(inner.value_at(i) <= outer.value_at(i) - a for i in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
 def seq_slack(inner: ExtSequence, outer: ExtSequence) -> int | float:
     """Largest shift a with inner <= outer - a pointwise: min_i (outer_i - inner_i).
 
     Taken over the positions seq_leq_shifted reads.  A position where outer
     is infinite imposes no bound; one where only inner is infinite gives
-    -inf ("never").  The last position compares the two finite tails, so the
-    result is an integer or -inf, and seq_leq_shifted(inner, outer, a) holds
-    exactly when 0 <= a <= seq_slack(inner, outer).  Only the positions past
-    outer's infinities are read, so the cost grows with the heads, not with
-    the number of infinities.
+    -inf ("never").  Past outer's infinities both sequences are finite, so
+    inner's head is read from the same position on and both heads are
+    padded with their tails up to one position past the longer; the last
+    position compares the two tails.  The result is an integer or -inf, and
+    seq_leq_shifted(inner, outer, a) holds exactly when
+    0 <= a <= seq_slack(inner, outer).  The cost grows with the heads, not
+    with the number of infinities.
     """
     if inner.inf_count > outer.inf_count:
         return -INF  # position outer.inf_count + 1 is infinite in inner only
-    n = max(inner.significant_length, outer.significant_length) + 1
-    return min(outer.value_at(i) - inner.value_at(i) for i in range(outer.inf_count + 1, n + 1))
+    low = inner.head[outer.inf_count - inner.inf_count :]
+    high = outer.head
+    n = max(len(low), len(high)) + 1
+    return min(map(sub, high + (outer.tail,) * (n - len(high)), low + (inner.tail,) * (n - len(low))))
 
 
 def code_included(inner: ClsCode, outer: ClsCode) -> bool:

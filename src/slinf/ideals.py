@@ -9,8 +9,9 @@ Inclusion between nonzero ideals is decided exclusively through their
 sequence codes (one code per split c + d = x) and the code inclusion order --
 the route that reproduces the maximality and ascending-chain corollaries.
 A single ideal pair compares the outer ideal's (x, 0) split with the inner
-ideal's codes (``is_contained``); a whole family is decided on the full code
-unions at once (``inclusion_rows``), and the ``split-consistency`` suite
+ideal's codes (``is_contained``), and an upset does the same for every
+candidate at once (``containing_ideals``); a whole family is decided on the
+full code unions (``inclusion_rows``), and the ``split-consistency`` suite
 replays one route against the other.  A direct closed-form condition on the
 diagram columns exists in the literature but disagrees with those corollaries
 as printed; it is kept here (``diagram_order_condition``) purely so the
@@ -26,7 +27,7 @@ from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 from .cls_codes import ClsCode, ExtSequence, bit_indices, code_included, code_rows, seq_slack
-from .partitions import YoungDiagram, as_array, as_int, as_young_diagram, capped_comb
+from .partitions import YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,9 @@ class Ideal:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Ideal":
-        if obj.get("zero"):
+        if "zero" in as_object(obj, ("x", "y", "yl", "yr", "zero"), "an ideal"):
+            if len(obj) > 1 or obj["zero"] is not True:
+                raise ValueError(f'the zero ideal is exactly {{"zero": true}}, got {obj!r}')
             return ZERO_IDEAL
         return cls(
             x=obj.get("x", 0),
@@ -365,23 +368,19 @@ def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -
 def upset_size(ideal: Ideal, width_cap: int, cap: int) -> int:
     """How much work containing_ideals does: exact up to cap, some number past cap beyond it.
 
-    Per y', it decides (x + 1)·#left·#right candidates, fills the table of right
-    halves with sum_e (x - e + 1)·#right = C(x + 2, 2)·#right seq_slack calls,
-    and decides the rows with up to sum_x' (x' + 1)(x - x' + 1)·#left =
-    C(x + 3, 3)·#left more: row (x', L) tries up to x - x' + 1 codes for each
-    of its x' + 1 splits.  So the work grows as x**3 even when the
-    candidates grow only as x.
+    Per y', it decides (x + 1)·#left·#right candidates, fills the table of
+    right halves with (x + 1)·#right seq_slack calls (one per code of the
+    ideal), and decides the rows with up to sum_x' (x - x' + 1)·#left =
+    C(x + 2, 2)·#left more: row (x', L) tries the codes of splits x'..x.  So
+    the work grows as x**2 even when the candidates grow only as x.
     """
     if ideal.zero or width_cap < 0:
         return 0  # containing_ideals refuses these before deciding anything
     max_l, max_r = _longest_columns(ideal)
     left = diagram_count(width_cap, max_l, cap)
     right = diagram_count(width_cap, max_r, cap)
-    x = ideal.x
-    candidates = (x + 1) * left * right
-    table = capped_comb(x + 2, 2, cap) * right
-    rows = capped_comb(x + 3, 3, cap) * left
-    return (ideal.y + 1) * (candidates + table + rows)
+    x = ideal.x  # the candidates, the table, the rows
+    return (ideal.y + 1) * ((x + 1) * left * right + (x + 1) * right + capped_comb(x + 2, 2, cap) * left)
 
 
 def _longest_columns(ideal: Ideal) -> tuple[int, int]:
@@ -398,21 +397,20 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     one-cell columns can absorb an exterior factor indefinitely).
 
     Decided from one table of slacks, never candidate by candidate.  A
-    candidate J = (x', y', L, R) contains the ideal iff each of its codes,
-    (code_sequence(c, y', L), code_sequence(x' - c, y', R)) for c = 0..x',
-    is included in some code k of the ideal.  Those codes have limits y' and
-    y, so by the slack criterion of code_included, with d = y - y' >= 0,
-    that holds for k iff
+    candidate J = (x', y', L, R) contains the ideal iff its (x', 0) split
+    (code_sequence(x', y', L), code_sequence(0, y', R)) is included in some
+    code k of the ideal: one split decides, by the argument of is_contained.
+    Those codes have limits y' and y, so by the slack criterion of
+    code_included, with d = y - y' >= 0, that holds for k iff
     s_p = seq_slack(left half, k.p) >= 0 and seq_slack(right half, k.q) >= max(0, d - s_p).
-    The left half sees only (c, y', L) and the right half only (x' - c, y', R),
-    so the test factors: per y' the right diagrams are tabulated once as
-    bitmasks, covered[e][k][t] = {R : seq_slack(code_sequence(e, y', R), k.q) >= t},
-    and each (x', y', L) ORs covered[x' - c][k][max(0, d - s_p)] over the codes
-    k with s_p >= 0 (the R whose split-c code is included somewhere), then
-    ANDs that over the splits c.  The set bits are exactly the R with
-    is_contained(ideal, J), which stays the pointwise route.  Only the codes
-    k of splits c0 with c <= c0 <= c + x - x' are tried: outside that range
-    one half of the split-c code has an infinity where k's half is finite.
+    The left half sees only (x', y', L) and the right half only (y', R), so
+    the test factors: per y' the right diagrams are tabulated once as
+    bitmasks, covered[c0][t] = {R : seq_slack(code_sequence(0, y', R), k.q) >= t}
+    for the code k of the ideal's split c0, and each (x', y', L) ORs
+    covered[c0][max(0, d - s_p)] over the codes with s_p >= 0.  Only the
+    splits c0 >= x' are tried, since s_p is -inf when the left half has
+    more infinities than k.p.  The set bits are exactly the R with
+    is_contained(ideal, J), which stays the pointwise route.
     """
     if ideal.zero:
         raise ValueError("the upset of the zero ideal is the whole lattice; enumerate a family instead")
@@ -426,28 +424,20 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     found = []
     for y in range(ideal.y + 1):
         d = ideal.y - y
+        right_halves = [code_sequence(0, y, yr) for yr in right]
         covered = []
-        for e in range(ideal.x + 1):
-            right_halves = [code_sequence(e, y, yr) for yr in right]
-            per_code = []
-            for code in codes[: ideal.x - e + 1]:
-                slacks = [seq_slack(half, code.q) for half in right_halves]
-                per_code.append([sum(1 << j for j, s in enumerate(slacks) if s >= t) for t in range(d + 1)])
-            covered.append(per_code)
+        for code in codes:
+            slacks = [seq_slack(half, code.q) for half in right_halves]
+            covered.append([sum(1 << j for j, s in enumerate(slacks) if s >= t) for t in range(d + 1)])
         for x in range(ideal.x + 1):
             for yl in left:
-                row = full
-                for c in range(x + 1):
-                    left_half = code_sequence(c, y, yl)
-                    split = 0
-                    for c0 in range(c, c + ideal.x - x + 1):
-                        s_p = seq_slack(left_half, codes[c0].p)
-                        if s_p >= 0:
-                            split |= covered[x - c][c0][max(0, d - s_p)]
-                            if split == full:
-                                break
-                    row &= split
-                    if not row:
-                        break
+                left_half = code_sequence(x, y, yl)
+                row = 0
+                for c0 in range(x, ideal.x + 1):
+                    s_p = seq_slack(left_half, codes[c0].p)
+                    if s_p >= 0:
+                        row |= covered[c0][max(0, d - s_p)]
+                        if row == full:
+                            break
                 found.extend(Ideal(x, y, yl, right[j]) for j in bit_indices(row))
     return sorted(found, key=Ideal.sort_key)

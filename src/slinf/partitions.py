@@ -40,6 +40,17 @@ def as_array(value, what: str) -> tuple:
     return tuple(value)
 
 
+def as_object(value, keys, what: str, required=()) -> dict:
+    """Strict object check for decoded JSON: every required key, and no key outside keys, so typos are refused."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r}")
+    unknown, missing = set(value) - set(keys), [key for key in required if key not in value]
+    if unknown or missing:
+        needed = ", ".join(required) or "none"
+        raise ValueError(f"{what} takes the keys {', '.join(keys)} ({needed} required), got {value!r}")
+    return value
+
+
 def capped_comb(n: int, k: int, cap: int) -> int:
     """C(n, k) when it is at most cap, cap + 1 when it is larger; cheap for any n and k.
 

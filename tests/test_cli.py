@@ -279,11 +279,31 @@ def test_wide_inputs_refuse_cleanly(capsys):
 
 
 def test_upset_guard_counts_work_not_candidates(capsys):
-    # 3 001 candidates, but about 4.5 * 10**9 code comparisons: it ran for minutes
+    # 5 001 candidates, but about 1.25 * 10**7 slack comparisons: refused before deciding any
     start = time.process_time()
-    code, out, err = run(capsys, "ideal", "upset", '{"x":3000}', "--cap", "0")
+    code, out, err = run(capsys, "ideal", "upset", '{"x":5000}', "--cap", "0")
     assert (code, out) == (2, "") and "more than 10000000 inclusion checks" in err, err
     assert time.process_time() - start < 5
+    # about 4.5 * 10**6 of them, so it is answered: the augmentation ideal and every I(x', 0)
+    code, out, err = run(capsys, "ideal", "upset", '{"x":3000}', "--cap", "0")
+    assert (code, err) == (0, "") and len(json.loads(out)) == 3001
+
+
+def test_decoders_refuse_unknown_keys_and_malformed_zero(capsys):
+    # each of these used to decode to some ideal or code and get an answer
+    ideal, seq = '{"x":0}', '{"tail":0}'
+    refused = [
+        ["ideal", "include", bad, ideal]
+        for bad in ('{"zero":"no","x":3}', '{"X":3}', '{"zero":1}', '{"zero":true,"x":2}', '{"zero":false}')
+    ] + [
+        ["cls", "include", bad, f'{{"p":{seq},"q":{seq}}}']
+        for bad in (f'{{"p":{{"tail":0,"Inf":2}},"q":{seq}}}', f'{{"p":{seq},"q":{seq},"r":0}}')
+    ]
+    for argv in refused:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and "unexpected" not in err, (argv, err)
+    assert run(capsys, "ideal", "include", '{"zero":true}', ideal)[0] == 0
+    assert run(capsys, "cls", "include", f'{{"p":{seq},"q":{seq}}}', f'{{"p":{seq},"q":{seq}}}')[0] == 0
 
 
 json_scalars = st.one_of(
@@ -300,16 +320,23 @@ json_arrays = st.one_of(  # about half of the pairs are valid partitions
 )
 
 
-def assert_bool_contract(argv):
+def assert_exit_contract(argv, codes):
+    """The exit code is in codes, an error (exit 2) is clean, and any other exit prints JSON; returns it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2)
+    assert code in codes
     assert "Traceback" not in err.getvalue() and "unexpected" not in err.getvalue(), err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: ")
-    else:
-        assert json.loads(out.getvalue()) is (code == 0)
+        return code, None
+    return code, json.loads(out.getvalue())
+
+
+def assert_bool_contract(argv):
+    code, answer = assert_exit_contract(argv, (0, 1, 2))
+    if code != 2:
+        assert answer is (code == 0)
 
 
 @given(st.sampled_from(["dominates", "qvee", "qlambda"]), json_arrays, json_arrays)
@@ -366,3 +393,13 @@ def test_include_commands_fuzz(family, data):
     valid, anything = (valid_ideals, ideal_args) if family == "ideal" else (valid_codes, code_args)
     pair = data.draw(st.one_of(st.tuples(valid, valid), st.tuples(anything, anything)))  # half answerable
     assert_bool_contract([family, "include", *map(json.dumps, pair)])
+
+
+ideal_verbs = [["cls"], ["weight"]] + [["upset", "--cap", str(cap)] for cap in range(3)]
+
+
+@given(st.sampled_from(ideal_verbs), ideal_args)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_ideal_queries_fuzz(verb, ideal):
+    # ideal cls, weight and upset answer JSON (exit 0) or refuse cleanly (exit 2)
+    assert_exit_contract(["ideal", verb[0], json.dumps(ideal), *verb[1:]], (0, 2))

@@ -1,7 +1,7 @@
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slinf.cls_codes import (
     INF,
@@ -186,10 +186,21 @@ wide_codes = st.integers(0, 3).flatmap(
 )
 
 
-@given(ext_sequences, ext_sequences)
+# up to 3 infinities and 4 head entries; a raw 0 is a head entry equal to the
+# tail, so unnormalized heads are drawn too
+slack_sequences = st.builds(
+    lambda inf, raw, tail: ExtSequence(inf, tuple(sorted((v + tail for v in raw), reverse=True)), tail),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 4), max_size=4),
+    st.integers(0, 3),
+)
+
+
+@given(slack_sequences, slack_sequences)
+@settings(max_examples=500, deadline=None, derandomize=True)
 def test_seq_slack_is_the_largest_admissible_shift(inner, outer):
     slack = seq_slack(inner, outer)
-    for a in range(8):
+    for a in range(11):
         assert seq_leq_shifted(inner, outer, a) == (a <= slack)
 
 

@@ -246,21 +246,16 @@ def test_inclusion_rows_match_pointwise_inclusion(family, data):
     ]
 
 
-def containing_ideals_pointwise(ideal, width_cap):
-    """The pointwise definition containing_ideals replaced: one is_contained per candidate."""
+def upset_candidates(ideal, width_cap):
+    """Every ideal containing_ideals decides, in canonical order."""
     max_l = (ideal.yl[0] if ideal.yl else 0) + ideal.y
     max_r = (ideal.yr[0] if ideal.yr else 0) + ideal.y
     left = enumerate_diagrams(width_cap, max_l)
     right = enumerate_diagrams(width_cap, max_r)
-    found = [
-        cand
-        for x in range(ideal.x + 1)
-        for y in range(ideal.y + 1)
-        for yl in left
-        for yr in right
-        if is_contained(ideal, cand := Ideal(x, y, yl, yr))
+    candidates = [
+        Ideal(x, y, yl, yr) for x in range(ideal.x + 1) for y in range(ideal.y + 1) for yl in left for yr in right
     ]
-    return sorted(found, key=Ideal.sort_key)
+    return sorted(candidates, key=Ideal.sort_key)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -269,7 +264,7 @@ def containing_ideals_pointwise(ideal, width_cap):
         st.just(AUGMENTATION_IDEAL),
         st.builds(
             Ideal,
-            st.integers(0, 2),
+            st.integers(0, 4),
             st.integers(0, 2),
             st.sampled_from(enumerate_diagrams(3, 3)),
             st.sampled_from(enumerate_diagrams(3, 3)),
@@ -279,7 +274,12 @@ def containing_ideals_pointwise(ideal, width_cap):
 )
 def test_containing_ideals_match_pointwise_definition(ideal, width_cap):
     upset = containing_ideals(ideal, width_cap)
-    assert upset == containing_ideals_pointwise(ideal, width_cap)
+    candidates = upset_candidates(ideal, width_cap)
+    # the pointwise definition containing_ideals replaced: one is_contained per candidate
+    assert upset == [cand for cand in candidates if is_contained(ideal, cand)]
+    # the full code unions, with no single-split argument: bit 1 of row 0 is ideal <= cand.
+    # One pair at a time, since inclusion_rows is quadratic in the codes of its family
+    assert upset == [cand for cand in candidates if inclusion_rows([ideal, cand])[0] & 0b10]
     # the augmentation ideal contains everything, so y > 0 always yields a hit with y' < y (d > 0)
     assert AUGMENTATION_IDEAL in upset
     assert (ideal in upset) == (max(len(ideal.yl), len(ideal.yr)) <= width_cap)
