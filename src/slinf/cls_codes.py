@@ -10,8 +10,9 @@ comparison reduces to finitely many index checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import sub
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import or_, sub
 
 from .partitions import as_array, as_int, as_object
 
@@ -197,24 +198,79 @@ def code_included_oracle(inner: ClsCode, outer: ClsCode) -> bool:
 def code_rows(codes) -> list[int]:
     """The code order as bitset rows: bit j of row i iff code_included(codes[i], codes[j]).
 
-    The sequences are interned and their slacks tabulated once, so the
-    relation costs one seq_slack per pair of distinct sequences plus a table
-    lookup per pair of codes.
+    The sequences are interned and their slacks tabulated once, one
+    seq_slack per pair of distinct sequences.  The rows then come from
+    masks over the codes, not from a test per pair of codes: has_p[b]
+    (has_q[b]) holds the codes whose p (q) half is sequence b, and
+    ge_p[a][t] (ge_q[a][t]) is the OR of has_p[b] (has_q[b]) over the b
+    with slack[a][b] >= t, for t up to D, the spread of the limits.  By the
+    slack criterion of code_included, with d = m_j - m_i >= 0, code j is in
+    row i iff s_p >= 0, s_q >= 0 and s_p + s_q >= d, that is iff some t in
+    0..d has s_p >= t and s_q >= d - t.  So row i is the OR, over the
+    limits m_j >= m_i, of limit_mask[m_j] & OR_t (ge_p[p_i][t] & ge_q[q_i][d - t]).
+    Past the slack table, that is O(S**2 + S·D) ORs to build the masks
+    (S sequences) and O(D**2) ANDs per row, each over one N-bit integer
+    (N codes).
+    """
+    return _order_rows(codes, down=False)
+
+
+def _order_rows(codes, down: bool) -> list[int]:
+    """code_rows (down=False), or its transpose (down=True): bit j of row i iff codes[j] is included in codes[i].
+
+    The down-sets read the same slack table with its orientation
+    transposed: slack[b][a] instead of slack[a][b], and the limits at or
+    below m_i instead of at or above.
     """
     index: dict[ExtSequence, int] = {}
     keys = [(index.setdefault(c.p, len(index)), index.setdefault(c.q, len(index)), c.limit) for c in codes]
     seqs = list(index)
+    has_p, has_q = [0] * len(seqs), [0] * len(seqs)
+    limit_mask: dict[int, int] = {}
+    for j, (p, q, m) in enumerate(keys):
+        has_p[p] |= 1 << j
+        has_q[q] |= 1 << j
+        limit_mask[m] = limit_mask.get(m, 0) | 1 << j
+    span = max(limit_mask) - min(limit_mask) if keys else 0
     slack = [[seq_slack(a, b) for b in seqs] for a in seqs]
+    if down:
+        slack = [list(column) for column in zip(*slack)]
+
+    def thresholds(a: int, has: list[int]) -> list[int]:
+        # ge[t] = OR of has[b] over the b with slack[a][b] >= t, t = 0..span
+        ge = [0] * (span + 1)
+        for b, s in enumerate(slack[a]):
+            if s >= 0:
+                ge[min(s, span)] |= has[b]
+        for t in range(span, 0, -1):
+            ge[t - 1] |= ge[t]
+        return ge
+
+    ge_p = {p: thresholds(p, has_p) for p in {p for p, _, _ in keys}}
+    ge_q = {q: thresholds(q, has_q) for q in {q for _, q, _ in keys}}
     rows = []
     for p, q, m in keys:
-        sp, sq = slack[p], slack[q]
-        # the slack criterion of code_included, written out; bit j is the j-th digit from the right
-        bits = "".join(
-            "1" if m2 >= m and sp[p2] >= 0 and sq[q2] >= 0 and sp[p2] + sq[q2] >= m2 - m else "0"
-            for p2, q2, m2 in reversed(keys)
-        )
-        rows.append(int(bits, 2))
+        gp, gq = ge_p[p], ge_q[q]
+        row = 0
+        for m2, mask in limit_mask.items():
+            d = m - m2 if down else m2 - m
+            if d >= 0:
+                row |= mask & reduce(or_, [gp[t] & gq[d - t] for t in range(d + 1)])
+        rows.append(row)
     return rows
+
+
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def or_of_rows(rows, mask: int) -> int:
+    """The OR of rows[j] over the set bits j of mask, 0 for an empty mask.
+
+    One C-level pass: bin(mask) read from its low end becomes a byte string
+    of 0/1 selectors for itertools.compress, and functools.reduce ORs what
+    it selects, with no Python step per bit.
+    """
+    return reduce(or_, compress(rows, bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)), 0)
 
 
 def bit_indices(mask: int):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from .cls_codes import bit_indices
+from .cls_codes import bit_indices, or_of_rows
 from .ideals import Ideal, enumerate_ideals, inclusion_rows
 
 
@@ -18,16 +18,14 @@ def covering_relations(ideals: Iterable[Ideal]) -> list[tuple[Ideal, Ideal]]:
 
     A bitset transitive reduction (Aho, Garey and Ullman 1972): with strict(a)
     the ideals strictly above a, covers(a) = strict(a) minus the union of
-    strict(c) over c in strict(a).
+    strict(c) over c in strict(a).  That union is one C-level OR
+    (or_of_rows), not a Python step per c.
     """
     family = sorted(set(ideals), key=Ideal.sort_key)
     strict = [row & ~(1 << i) for i, row in enumerate(inclusion_rows(family))]
     covers = []
     for a, row in zip(family, strict):
-        above = 0
-        for c in bit_indices(row):
-            above |= strict[c]
-        covers.extend((a, family[b]) for b in bit_indices(row & ~above))
+        covers.extend((a, family[b]) for b in bit_indices(row & ~or_of_rows(strict, row)))
     return covers
 
 

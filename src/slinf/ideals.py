@@ -26,7 +26,7 @@ from functools import cache
 from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
-from .cls_codes import ClsCode, ExtSequence, bit_indices, code_included, code_rows, seq_slack
+from .cls_codes import ClsCode, ExtSequence, _order_rows, bit_indices, code_included, or_of_rows, seq_slack
 from .partitions import YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
 
 
@@ -139,40 +139,42 @@ def is_contained(inner: Ideal, outer: Ideal) -> bool:
 def inclusion_rows(ideals: Sequence[Ideal]) -> list[int]:
     """The inclusion order as bitset rows: bit j of row i iff is_contained(ideals[i], ideals[j]).
 
-    Built through the code route in one pass: each nonzero ideal becomes a
-    bitmask over the distinct codes of the family, and code_rows gives the
-    code order among them.  cov_i, the codes included in some code of ideal
-    i, then decides the whole row: ideal i lies below ideal j iff every code
-    of j is in cov_i.  The zero ideal lies below everything.
+    Built through the code route in one pass over the family's distinct
+    codes, by mask algebra.  The down-set of each code (the codes included
+    in it) comes from the slack table of code_rows, read transposed.  cov_i,
+    the codes included in some code of ideal i, is the OR of the down-sets
+    of ideal i's codes.  Ideal i lies below ideal j iff every code of j is
+    in cov_i, so row i is every nonzero ideal except those that have a code
+    outside cov_i: the OR of has[k] (the ideals with code k) over the codes
+    k not in cov_i.  Both ORs run in C (or_of_rows), so past the masks
+    the cost is two C-level passes per ideal, no Python step per pair.  The
+    zero ideal lies below everything.
     """
     index: dict[ClsCode, int] = {}
     masks = [
         None if ideal.zero else sum(1 << index.setdefault(c, len(index)) for c in cls_union(ideal))
         for ideal in ideals
     ]
-    codes = code_rows(list(index))
+    down = _order_rows(list(index), down=True)
+    has = [0] * len(index)
+    for j, mask in enumerate(masks):
+        for k in bit_indices(mask or 0):
+            has[k] |= 1 << j
+    all_codes = (1 << len(index)) - 1
+    nonzero = or_of_rows(has, all_codes)
     full = (1 << len(masks)) - 1
-    rows = []
-    for mask in masks:
-        if mask is None:
-            rows.append(full)
-            continue
-        cov = sum(1 << k for k, row in enumerate(codes) if row & mask)
-        rows.append(sum(1 << j for j, other in enumerate(masks) if other is not None and not other & ~cov))
-    return rows
+    return [
+        full if mask is None else nonzero & ~or_of_rows(has, all_codes & ~or_of_rows(down, mask))
+        for mask in masks
+    ]
 
 
 def _columns_fit(cols: YoungDiagram, outer_cols: YoungDiagram, drop: int, shove: int, padded: bool) -> bool:
     # cols_i - drop >= outer_cols_{i + shove} over the quantified 1-based i,
     # with columns read as 0 beyond their diagram.
-    def at(seq, i):
-        return seq[i - 1] if 1 <= i <= len(seq) else 0
-
-    if padded:
-        top = max(len(cols), len(outer_cols)) + 1
-    else:
-        top = len(cols)
-    return all(at(cols, i) - drop >= at(outer_cols, i + shove) for i in range(1, top + 1))
+    top = max(len(cols), len(outer_cols)) + 1 if padded else len(cols)
+    high = outer_cols[shove : shove + top]
+    return all(c - drop >= o for c, o in zip(cols + (0,) * (top - len(cols)), high + (0,) * (top - len(high))))
 
 
 def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> bool:

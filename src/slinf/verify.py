@@ -24,6 +24,7 @@ from .cls_codes import (
     code_included,
     code_included_oracle,
     code_rows,
+    or_of_rows,
     union_included,
 )
 from .dominance import (
@@ -47,7 +48,7 @@ from .ideals import (
     split_code,
 )
 from .local_systems import gap_union_contains
-from .partitions import class_count, enumerate_classes
+from .partitions import as_array, as_int, class_count, enumerate_classes
 
 DEFAULT_CEILING = 10_000_000
 MAX_STORED_COUNTEREXAMPLES = 50
@@ -137,7 +138,10 @@ def load_grid_config(path: str | Path | None = None) -> dict:
         text = resources.files("slinf").joinpath("default_grids.json").read_text(encoding="utf-8")
     else:
         text = Path(path).read_text(encoding="utf-8")
-    return json.loads(text)
+    config = json.loads(text)
+    if not isinstance(config, dict):
+        raise ValueError(f"a grid configuration must be a JSON object, got {config!r}")
+    return config
 
 
 def run_suite(name: str, overrides: dict | None = None, config: dict | None = None) -> VerifyReport:
@@ -149,9 +153,12 @@ def run_suite(name: str, overrides: dict | None = None, config: dict | None = No
     if name not in _SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}; known suites: {', '.join(sorted(_SUITES))}")
     cfg = config if config is not None else load_grid_config()
-    grid = dict(cfg.get("suites", {}).get(name, {}))
-    grid.update(overrides or {})
-    ceiling = int(grid.get("ceiling", cfg.get("ceiling", DEFAULT_CEILING)))
+    grid = {**_grid_of(cfg, name), **(overrides or {})}
+    for key, value in grid.items():
+        # every grid value is an integer, except mu_widths, an array of integers
+        for v in as_array(value, key) if key == "mu_widths" else (value,):
+            as_int(v, f"grid value {key!r}")
+    ceiling = as_int(grid.get("ceiling", cfg.get("ceiling", DEFAULT_CEILING)), "the ceiling")
     try:
         report = _SUITES[name](grid, ceiling)
     except KeyError as exc:
@@ -159,6 +166,15 @@ def run_suite(name: str, overrides: dict | None = None, config: dict | None = No
     if report.checked == 0:
         raise ValueError(f"suite {name!r} checked nothing on its grid; widen the grid")
     return report
+
+
+def _grid_of(cfg, name: str) -> dict:
+    """The grid of one suite in a configuration: JSON objects all the way down, else ValueError."""
+    suites = cfg.get("suites", {})
+    grid = suites.get(name, {}) if isinstance(suites, dict) else None
+    if not isinstance(grid, dict):
+        raise ValueError(f"'suites' must map suite names to grid objects, got {suites!r}")
+    return grid
 
 
 def suite_names() -> list[str]:
@@ -260,17 +276,29 @@ def _suite_lemmas(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -> int:
-    """Add reflexivity/antisymmetry/transitivity violations to bad; returns #containment checks."""
+    """Add reflexivity/antisymmetry/transitivity violations to bad; returns #containment checks.
+
+    One containment check per edge i -> j (j != i): rows[j] must lie within
+    rows[i], and for j > i, rows[j] must not hold i.  Row i passes both
+    checks iff or_of_rows (one C-level OR) over its edges adds nothing
+    outside rows[i], and the OR over its edges above i leaves bit i clear;
+    only a row that fails goes through its edges one at a time, so the
+    faults are found, counted and stored in edge order.
+    """
     n = len(items)
     for i in range(n):
         if not (rows[i] >> i) & 1:
             bad.add({"law": "reflexivity", "item": render(items[i])})
     containment_checks = 0
     for i in range(n):
-        for j in bit_indices(rows[i] & ~(1 << i)):
+        edges = rows[i] & ~(1 << i)
+        containment_checks += edges.bit_count()
+        above = or_of_rows(rows, edges >> (i + 1) << (i + 1))
+        if not (above >> i) & 1 and not (above | or_of_rows(rows, edges & ((1 << i) - 1))) & ~rows[i]:
+            continue
+        for j in bit_indices(edges):
             if i < j and (rows[j] >> i) & 1:
                 bad.add({"law": "antisymmetry", "a": render(items[i]), "b": render(items[j])})
-            containment_checks += 1
             missing = rows[j] & ~rows[i]
             if missing:
                 k = (missing & -missing).bit_length() - 1
@@ -441,11 +469,24 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     required_outer = AUGMENTATION_IDEAL
     required_seen = False
     padded_unsound = 0
+    # the condition reads only the drops in x and y and the four diagrams,
+    # and is false unless both drops are >= 0, so it is evaluated once per
+    # distinct key (drops >= 0, diagrams)
+    readings: dict[tuple, tuple[bool, bool]] = {}
     for inner, row in zip(family, inclusion_rows(family)):
         for j, outer in enumerate(family):
             actual = bool((row >> j) & 1)
-            padded = diagram_order_condition(inner, outer, padded=True)
-            loose = diagram_order_condition(inner, outer, padded=False)
+            dx, dy = inner.x - outer.x, inner.y - outer.y
+            if dx < 0 or dy < 0:
+                padded = loose = False
+            else:
+                key = (dx, dy, inner.yl, inner.yr, outer.yl, outer.yr)
+                if key not in readings:
+                    readings[key] = (
+                        diagram_order_condition(inner, outer, padded=True),
+                        diagram_order_condition(inner, outer, padded=False),
+                    )
+                padded, loose = readings[key]
             if padded and not actual:
                 # the one direction that would invalidate the printed form
                 # even as documentation: it must stay sound

@@ -105,6 +105,10 @@ def test_criterion_10_printed_condition_discrepancy_report():
     assert padded["missed_inclusions"] > 0
     # (b) soundness: never true where the code route says no
     assert padded["unsound_cases"] == 0
+    # (c) the exact counts of the frozen report, both readings
+    assert (padded["missed_inclusions"], padded["unsound_cases"]) == (19595, 0)
+    unpadded = report.details["unpadded_reading"]
+    assert (unpadded["missed_inclusions"], unpadded["unsound_cases"]) == (6675, 7887)
 
 
 def test_criterion_11_slack_form_equals_split_search():

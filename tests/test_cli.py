@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slinf.cli import main
+from slinf.verify import load_grid_config, suite_names
 
 
 def run(capsys, *argv):
@@ -188,6 +191,25 @@ def test_verify_cli(capsys, tmp_path):
     empty.write_text(json.dumps({"suites": {"interlace": {"max_width": 0, "bound": -1}}}))
     code, out, err = run(capsys, "verify", "interlace", "--grid-file", str(empty))
     assert (code, out) == (2, "") and "checked nothing" in err
+
+
+def test_malformed_grid_files_refuse_cleanly(capsys, tmp_path):
+    # each of these used to crash with an unexpected exception, except null and
+    # true: null ran the packaged grids and true was read as 1
+    interlace = {"max_width": 2, "bound": 1}
+    for suite, config in (
+        ("interlace", []), ("interlace", None), ("interlace", {"suites": []}),
+        ("interlace", {"suites": {"interlace": 3}}), ("interlace", {"ceiling": None, "suites": {}}),
+        ("interlace", {"suites": {"interlace": {**interlace, "max_width": "a"}}}),
+        ("interlace", {"suites": {"interlace": {**interlace, "max_width": 2.5}}}),
+        ("interlace", {"suites": {"interlace": {**interlace, "max_width": True}}}),
+        ("lgts2", {"suites": {"lgts2": {"lam_width": 2, "lam_bound": 1, "mu_widths": 3, "mu_bound": 1}}}),
+        ("acc", {"suites": {"acc": {"max_x": 0, "max_y": 0, "max_cols": 0, "max_len": 0, "seed": [1]}}}),
+    ):
+        path = tmp_path / "grids.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "verify", suite, "--grid-file", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ") and "unexpected" not in err, (config, err)
 
 
 def test_non_integers_are_refused_not_coerced(capsys):
@@ -403,3 +425,76 @@ ideal_verbs = [["cls"], ["weight"]] + [["upset", "--cap", str(cap)] for cap in r
 def test_ideal_queries_fuzz(verb, ideal):
     # ideal cls, weight and upset answer JSON (exit 0) or refuse cleanly (exit 2)
     assert_exit_contract(["ideal", verb[0], json.dumps(ideal), *verb[1:]], (0, 2))
+
+
+# window options that argparse accepts (it refuses the others with its own usage
+# message): mostly windows inside 2..5, else ranges that may be reversed, empty
+# or below width 2; bounds and slacks may be negative
+window_widths = st.integers(0, 3).flatmap(lambda k: st.one_of(
+    st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(-1, 5), st.integers(-1, 5)),
+    st.builds(str, st.integers(-1, 5)),
+) if k == 0 else st.integers(2, 4).flatmap(lambda lo: st.integers(lo, 5).map(lambda hi: f"{lo}..{hi}")))
+# mostly one or two partitions, else up to three arrays of any kind
+system_args = st.integers(0, 3).flatmap(
+    lambda k: st.lists(json_arrays, min_size=1, max_size=3) if k == 0
+    else st.lists(partitions, min_size=1, max_size=2)
+)
+
+
+@given(
+    st.sampled_from(["plscheck", "clscheck"]), system_args,
+    st.sampled_from(["qvee", "qlambda", "forbidden"]), window_widths, st.integers(-1, 3), st.integers(-1, 2),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_window_commands_fuzz(command, parts, system, widths, bound, slack):
+    argv = [command, *map(json.dumps, parts), "--system", system, f"--widths={widths}", f"--bound={bound}"]
+    if command == "clscheck":
+        argv.append(f"--slack={slack}")
+    assert_bool_contract(argv)
+
+
+DEFAULT_GRIDS = load_grid_config()["suites"]
+
+
+def fuzzed_grids(suite):
+    """Grids over the suite's keys: small values, one replaced by any value, any values, or a non-object."""
+    keys = list(DEFAULT_GRIDS[suite])
+    small = st.fixed_dictionaries({
+        key: st.lists(st.integers(-1, 4), max_size=2) if key == "mu_widths" else st.integers(-1, 3) for key in keys
+    })
+    values = st.one_of(st.integers(-2, 4), st.lists(st.integers(-1, 4), max_size=2), json_values)
+    return st.one_of(
+        small,
+        st.builds(
+            lambda grid, key, value: {**grid, key: value}, small, st.sampled_from([*keys, "ceiling"]), values
+        ),
+        st.dictionaries(st.sampled_from([*keys, "ceiling"]), values, max_size=len(keys) + 1),
+        non_objects,
+    )
+
+
+def fuzzed_configs(suite):
+    """Mostly a grid of the suite under a small top-level ceiling, which keeps every run short."""
+    config = st.fixed_dictionaries({
+        "ceiling": st.one_of(st.just(20_000), st.integers(-1, 20_000)),
+        "suites": st.fixed_dictionaries({suite: fuzzed_grids(suite)}),
+    })
+    malformed_config = st.fixed_dictionaries({
+        "ceiling": st.one_of(st.integers(-1, 20_000), json_values), "suites": st.one_of(non_objects, json_values),
+    })
+    return st.integers(0, 5).flatmap(lambda k: config if k < 4 else malformed_config if k < 5 else non_objects)
+
+
+grid_configs = st.sampled_from(suite_names()).flatmap(
+    lambda suite: st.tuples(st.just(suite), fuzzed_configs(suite))
+)
+
+
+@given(grid_configs)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_verify_grid_file_fuzz(suite_and_config):
+    suite, config = suite_and_config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "grids.json"
+        path.write_text(json.dumps(config))
+        assert_exit_contract(["verify", suite, "--grid-file", str(path)], (0, 1, 2))

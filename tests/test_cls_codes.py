@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from slinf.cls_codes import (
     INF,
     ClsCode,
+    _order_rows,
     ExtSequence,
     code_included,
     code_included_oracle,
@@ -204,13 +205,19 @@ def test_seq_slack_is_the_largest_admissible_shift(inner, outer):
         assert seq_leq_shifted(inner, outer, a) == (a <= slack)
 
 
-@given(st.lists(wide_codes, max_size=12))
+# limits 0..3 mixed in one list, so every limit difference d = 0..3 meets
+# every threshold mask of the rows and of their transpose
+@given(st.integers(0, 30).flatmap(lambda n: st.lists(wide_codes, min_size=n, max_size=n)))
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_code_rows_match_split_search(codes):
     expected = [
         sum(1 << j for j, outer in enumerate(codes) if code_included_oracle(inner, outer))
         for inner in codes
     ]
     assert code_rows(codes) == expected
+    assert _order_rows(codes, down=True) == [
+        sum(1 << i for i, row in enumerate(expected) if (row >> j) & 1) for j in range(len(codes))
+    ]
     assert all(
         code_included(inner, outer) == bool((row >> j) & 1)
         for inner, row in zip(codes, expected)
