@@ -9,6 +9,7 @@ comparison reduces to finitely many index checks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import compress
@@ -200,17 +201,19 @@ def code_rows(codes) -> list[int]:
 
     The sequences are interned and their slacks tabulated once, one
     seq_slack per pair of distinct sequences.  The rows then come from
-    masks over the codes, not from a test per pair of codes: has_p[b]
-    (has_q[b]) holds the codes whose p (q) half is sequence b, and
-    ge_p[a][t] (ge_q[a][t]) is the OR of has_p[b] (has_q[b]) over the b
-    with slack[a][b] >= t, for t up to D, the spread of the limits.  By the
-    slack criterion of code_included, with d = m_j - m_i >= 0, code j is in
-    row i iff s_p >= 0, s_q >= 0 and s_p + s_q >= d, that is iff some t in
-    0..d has s_p >= t and s_q >= d - t.  So row i is the OR, over the
-    limits m_j >= m_i, of limit_mask[m_j] & OR_t (ge_p[p_i][t] & ge_q[q_i][d - t]).
-    Past the slack table, that is O(S**2 + S·D) ORs to build the masks
-    (S sequences) and O(D**2) ANDs per row, each over one N-bit integer
-    (N codes).
+    masks over the codes, not from a test per pair of codes.  A slack never
+    exceeds the difference of the two tails (seq_slack reads the tails
+    last), so with d = m_j - m_i the q-deficit d - s_q is >= 0, and the
+    slack criterion of code_included (s_p >= 0, s_q >= 0, s_p + s_q >= d)
+    is exactly s_p >= d - s_q with s_q finite.  Both sides depend on a pair
+    of sequences only, not on d.  So with T the distinct finite deficits,
+    ge_p[a][t] the codes whose p half b has slack[a][b] >= t (t in T) and
+    at_q[c][t] the codes whose q half has deficit exactly t from c, row i
+    is the OR over t of ge_p[p_i][t] & at_q[q_i][t].  Past the slack table
+    that is O(S**2) steps to build the masks (S sequences), |T| masks per
+    p half, and at most |T| ANDs per row, each over one N-bit integer (N
+    codes).  |T| does not grow with the spread of the limits: on an
+    ideal family every deficit is at most the longest column.
     """
     return _order_rows(codes, down=False)
 
@@ -219,45 +222,43 @@ def _order_rows(codes, down: bool) -> list[int]:
     """code_rows (down=False), or its transpose (down=True): bit j of row i iff codes[j] is included in codes[i].
 
     The down-sets read the same slack table with its orientation
-    transposed: slack[b][a] instead of slack[a][b], and the limits at or
-    below m_i instead of at or above.
+    transposed: slack[b][a] instead of slack[a][b], and the tail
+    difference taken the other way round.
     """
     index: dict[ExtSequence, int] = {}
-    keys = [(index.setdefault(c.p, len(index)), index.setdefault(c.q, len(index)), c.limit) for c in codes]
+    keys = [(index.setdefault(c.p, len(index)), index.setdefault(c.q, len(index))) for c in codes]
     seqs = list(index)
     has_p, has_q = [0] * len(seqs), [0] * len(seqs)
-    limit_mask: dict[int, int] = {}
-    for j, (p, q, m) in enumerate(keys):
+    for j, (p, q) in enumerate(keys):
         has_p[p] |= 1 << j
         has_q[q] |= 1 << j
-        limit_mask[m] = limit_mask.get(m, 0) | 1 << j
-    span = max(limit_mask) - min(limit_mask) if keys else 0
-    slack = [[seq_slack(a, b) for b in seqs] for a in seqs]
     if down:
-        slack = [list(column) for column in zip(*slack)]
+        slack = [[seq_slack(b, a) for b in seqs] for a in seqs]
+        sign = -1
+    else:
+        slack = [[seq_slack(a, b) for b in seqs] for a in seqs]
+        sign = 1
+    at_q: dict[int, dict] = {}
+    for q in {q for _, q in keys}:
+        at = at_q[q] = {}
+        for c, s in enumerate(slack[q]):
+            if has_q[c] and s >= 0:
+                t = sign * (seqs[c].tail - seqs[q].tail) - s
+                at[t] = at.get(t, 0) | has_q[c]
+    levels = sorted({t for at in at_q.values() for t in at})
 
-    def thresholds(a: int, has: list[int]) -> list[int]:
-        # ge[t] = OR of has[b] over the b with slack[a][b] >= t, t = 0..span
-        ge = [0] * (span + 1)
+    def thresholds(a: int) -> dict[int, int]:
+        # ge[t] = OR of has_p[b] over the b with slack[a][b] >= t, t in levels
+        ge = [0] * (len(levels) + 1)
         for b, s in enumerate(slack[a]):
-            if s >= 0:
-                ge[min(s, span)] |= has[b]
-        for t in range(span, 0, -1):
-            ge[t - 1] |= ge[t]
-        return ge
+            if has_p[b] and s >= 0:
+                ge[bisect_right(levels, s)] |= has_p[b]
+        for k in range(len(levels), 1, -1):
+            ge[k - 1] |= ge[k]
+        return dict(zip(levels, ge[1:]))
 
-    ge_p = {p: thresholds(p, has_p) for p in {p for p, _, _ in keys}}
-    ge_q = {q: thresholds(q, has_q) for q in {q for _, q, _ in keys}}
-    rows = []
-    for p, q, m in keys:
-        gp, gq = ge_p[p], ge_q[q]
-        row = 0
-        for m2, mask in limit_mask.items():
-            d = m - m2 if down else m2 - m
-            if d >= 0:
-                row |= mask & reduce(or_, [gp[t] & gq[d - t] for t in range(d + 1)])
-        rows.append(row)
-    return rows
+    ge_p = {p: thresholds(p) for p in {p for p, _ in keys}}
+    return [reduce(or_, [ge_p[p][t] & mask for t, mask in at_q[q].items()], 0) for p, q in keys]
 
 
 _BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")

@@ -470,23 +470,18 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     required_seen = False
     padded_unsound = 0
     # the condition reads only the drops in x and y and the four diagrams,
-    # and is false unless both drops are >= 0, so it is evaluated once per
-    # distinct key (drops >= 0, diagrams)
+    # so it is evaluated once per distinct key (drops, diagrams)
     readings: dict[tuple, tuple[bool, bool]] = {}
     for inner, row in zip(family, inclusion_rows(family)):
         for j, outer in enumerate(family):
             actual = bool((row >> j) & 1)
-            dx, dy = inner.x - outer.x, inner.y - outer.y
-            if dx < 0 or dy < 0:
-                padded = loose = False
-            else:
-                key = (dx, dy, inner.yl, inner.yr, outer.yl, outer.yr)
-                if key not in readings:
-                    readings[key] = (
-                        diagram_order_condition(inner, outer, padded=True),
-                        diagram_order_condition(inner, outer, padded=False),
-                    )
-                padded, loose = readings[key]
+            key = (inner.x - outer.x, inner.y - outer.y, inner.yl, inner.yr, outer.yl, outer.yr)
+            if key not in readings:
+                readings[key] = (
+                    diagram_order_condition(inner, outer, padded=True),
+                    diagram_order_condition(inner, outer, padded=False),
+                )
+            padded, loose = readings[key]
             if padded and not actual:
                 # the one direction that would invalidate the printed form
                 # even as documentation: it must stay sound

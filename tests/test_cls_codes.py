@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations_with_replacement
 
 import pytest
@@ -205,8 +206,8 @@ def test_seq_slack_is_the_largest_admissible_shift(inner, outer):
         assert seq_leq_shifted(inner, outer, a) == (a <= slack)
 
 
-# limits 0..3 mixed in one list, so every limit difference d = 0..3 meets
-# every threshold mask of the rows and of their transpose
+# limits 0..3 and heads up to 5 mixed in one list, so the rows and their
+# transpose meet every limit difference 0..3 and every deficit 0..5
 @given(st.integers(0, 30).flatmap(lambda n: st.lists(wide_codes, min_size=n, max_size=n)))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_code_rows_match_split_search(codes):
@@ -223,3 +224,45 @@ def test_code_rows_match_split_search(codes):
         for inner, row in zip(codes, expected)
         for j, outer in enumerate(codes)
     )
+
+
+def _lifted(code: ClsCode, k: int) -> ClsCode:
+    """The code with k added to every entry of both halves: its limit moves up by k."""
+    return ClsCode(*(ExtSequence(s.inf_count, tuple(v + k for v in s.head), s.tail + k) for s in (code.p, code.q)))
+
+
+# the same codes lifted apart by thousands, so the limits spread far wider
+# than the deficits; code_included (checked against the split search above)
+# is the reference, since the search runs over every split of the spread
+@given(st.lists(st.tuples(wide_codes, st.integers(0, 5)), max_size=24))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_code_rows_match_code_included_across_a_wide_limit_spread(drawn):
+    codes = [_lifted(code, 1000 * k) for code, k in drawn]
+    expected = [sum(1 << j for j, outer in enumerate(codes) if code_included(inner, outer)) for inner in codes]
+    assert code_rows(codes) == expected
+    assert _order_rows(codes, down=True) == [
+        sum(1 << i for i, row in enumerate(expected) if (row >> j) & 1) for j in range(len(codes))
+    ]
+
+
+def _peak_bytes(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_code_rows_cost_does_not_grow_with_the_limit_spread():
+    # 100 codes with limits 30 apart: a spread of about 3000, three deficits.
+    # The masks come one per deficit level, not one per limit difference, so
+    # building the rows takes little more memory than the slack table alone.
+    codes = [
+        ClsCode(ExtSequence(0, (m + 1 + i % 3,), m), ExtSequence(1, (m + 2 - i % 3,), m))
+        for i, m in enumerate(range(0, 3000, 30))
+    ]
+    seqs = list(dict.fromkeys(s for c in codes for s in (c.p, c.q)))
+    table = _peak_bytes(lambda: [[seq_slack(a, b) for b in seqs] for a in seqs])
+    for down in (False, True):
+        assert _peak_bytes(lambda: _order_rows(codes, down)) < 2 * table

@@ -97,3 +97,9 @@ def covering_reference(ideals):
 ))
 def test_covering_relations_match_reference(family):
     assert covering_relations(family) == covering_reference(family)
+
+
+def test_wide_y_spread_is_a_chain():
+    # one constant code per ideal, limits 0..300 and no deficit: a chain
+    family = enumerate_ideals(0, 300, 0, 0)
+    assert covering_relations(family) == [(Ideal(0, y + 1), Ideal(0, y)) for y in range(300)]
