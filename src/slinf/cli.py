@@ -189,7 +189,13 @@ def _cmd_ideal_hasse(args) -> int:
     bounds = (args.max_x, args.max_y, args.max_cols, args.max_len)
     if min(bounds) >= 0:  # negative bounds are left for family_hasse to refuse
         size = family_size(*bounds, verify.DEFAULT_CEILING)
-        _refuse_past_ceiling(size * size, "the Hasse diagram of this family", "the --max-* bounds")
+        # inclusion_rows also holds one bitset row over the family's codes per
+        # code: x + 1 codes for each ideal of x, family_size * (max_x + 2) / 2
+        # in all.  A row decides its code pairs a 64-bit word at a time, so
+        # they count 64 to a check.
+        codes = size * (args.max_x + 2) // 2
+        checks = max(size * size, codes * codes // 64)
+        _refuse_past_ceiling(checks, "the Hasse diagram of this family", "the --max-* bounds")
     text = family_hasse(args.max_x, args.max_y, args.max_cols, args.max_len, args.format)
     sys.stdout.write(text)
     return 0
@@ -206,8 +212,19 @@ def _cmd_verify(args) -> int:
     return 0 if report.failed == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals, like every other refusal, print one ``error: ...`` line and exit 2.
+
+    Subcommand parsers are built with the class of their parent, so they
+    refuse the same way.  ``--help`` is unchanged.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slinf",
         description="Decision procedures for partition dominance, coherent local "
         "systems, and the primitive-ideal inclusion order.",

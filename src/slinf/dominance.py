@@ -17,6 +17,15 @@ the suites that replay the oracle still compare two independent routes.
 The remaining predicates test HYPOTHESES of closed-form sufficient
 conditions; their conclusion (dominance) is enforced by the verify suites,
 never inside the predicates, so each piece stays falsifiable on its own.
+
+Each public predicate validates its arguments (the oracle also
+canonicalizes them) and then calls a private kernel on the validated
+tuples: ``_chain_oracle``, ``_interlaces``, ``_gap_criterion``,
+``_equal_ends``, ``_tight_gaps`` and ``_wide_window``.  A kernel keeps only
+the checks that relate its two arguments, such as the oracle's depth limit.
+The verify suites validate each grid class once and call the kernels pair
+by pair, so a pair costs no validation; wrappers set on the public names
+see no suite pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Sequence
 
-from .partitions import ShiftClass, _children, as_zpartition, canonicalize
+from .partitions import ShiftClass, ZPartition, _children, as_zpartition, canonicalize
 
 
 # The search recurses once per width step, at two interpreter frames a step,
@@ -60,7 +69,11 @@ def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
     change the answer.  A wider mu yields False.  A width gap past
     MAX_CHAIN_DEPTH raises ValueError.
     """
-    top, target = canonicalize(lam), canonicalize(mu)
+    return _chain_oracle(canonicalize(lam), canonicalize(mu))
+
+
+def _chain_oracle(top: ShiftClass, target: ShiftClass) -> bool:
+    # dominates_oracle on canonical classes
     gap = len(top) - len(target)
     if gap < 0:
         return False
@@ -82,8 +95,11 @@ def dominates_interlace(lam: Sequence[int], mu: Sequence[int]) -> bool:
     an interval-nonemptiness check.  Contract: agrees with dominates_oracle
     on every input of the acceptance grid; any disagreement fails the build.
     """
-    lam = as_zpartition(lam)
-    mu = as_zpartition(mu)
+    return _interlaces(as_zpartition(lam), as_zpartition(mu))
+
+
+def _interlaces(lam: ZPartition, mu: ZPartition) -> bool:
+    # dominates_interlace on validated partitions
     gap = len(lam) - len(mu)
     if gap < 0:
         return False
@@ -107,7 +123,11 @@ def gap_criterion(mu: Sequence[int], lam: Sequence[int]) -> bool:
     shifting either argument.
     """
     mu = as_zpartition(mu)
-    lam = as_zpartition(lam)
+    return _gap_criterion(mu, as_zpartition(lam))
+
+
+def _gap_criterion(mu: ZPartition, lam: ZPartition) -> bool:
+    # gap_criterion on validated partitions
     if len(mu) < len(lam):
         raise ValueError(f"need #mu >= #lam, got {len(mu)} < {len(lam)}")
     off = len(mu) - len(lam)
@@ -126,8 +146,11 @@ def equal_ends_hypotheses(lam: Sequence[int], mu: Sequence[int]) -> bool:
     mu_i >= lam_i >= mu_{#mu - #lam + i} for 1 <= i <= #lam.  The tested
     conclusion -- mu dominates lam -- lives in the ``lemmas`` suite.
     """
-    lam = as_zpartition(lam)
-    mu = as_zpartition(mu)
+    return _equal_ends(as_zpartition(lam), as_zpartition(mu))
+
+
+def _equal_ends(lam: ZPartition, mu: ZPartition) -> bool:
+    # equal_ends_hypotheses on validated partitions
     if len(mu) < len(lam):
         return False
     if lam[0] != mu[0] or lam[-1] != mu[-1]:
@@ -143,9 +166,12 @@ def tight_gaps_hypotheses(lam: Sequence[int], mu: Sequence[int]) -> bool:
     every pair 1 <= k < l <= #lam, and equality holds for at least one pair.
     Conclusion (mu dominates lam) is enforced by the ``lemmas`` suite.
     """
-    lam = as_zpartition(lam)
-    mu = as_zpartition(mu)
-    if len(mu) < 2 * len(lam) or not gap_criterion(mu, lam):
+    return _tight_gaps(as_zpartition(lam), as_zpartition(mu))
+
+
+def _tight_gaps(lam: ZPartition, mu: ZPartition) -> bool:
+    # tight_gaps_hypotheses on validated partitions
+    if len(mu) < 2 * len(lam) or not _gap_criterion(mu, lam):
         return False
     off = len(mu) - len(lam)
     n = len(lam)
@@ -163,6 +189,11 @@ def wide_window_hypotheses(lam: Sequence[int], mu: Sequence[int], i: int) -> boo
     mu = as_zpartition(mu)
     if i < 1:
         raise ValueError("i must be a positive index")
+    return _wide_window(lam, mu, i)
+
+
+def _wide_window(lam: ZPartition, mu: ZPartition, i: int) -> bool:
+    # wide_window_hypotheses on validated partitions with i >= 1
     if not len(lam) <= i <= len(mu) - i:
         return False
     return mu[i - 1] - mu[len(mu) - i] >= lam[0] - lam[-1]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .dominance import dominates_interlace
-from .partitions import ShiftClass, _children, as_zpartition, canonicalize, enumerate_classes
+from .partitions import ShiftClass, ZPartition, _children, as_zpartition, canonicalize, enumerate_classes
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,17 @@ def gap_union_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
     mu belongs iff mu_k - mu_{#mu - #lam + l} < lam_k - lam_l for some pair
     1 <= k < l <= #lam, or #mu < #lam.  Needs #lam >= 2 (no pairs exist
     otherwise).  The same test as gap_system_contains over every pair, with
-    mu validated once.
+    mu validated once.  The ``pmain`` suite calls the kernel
+    ``_gap_union`` on classes it has validated.
     """
     lam = as_zpartition(lam)
+    return _gap_union(lam, as_zpartition(mu))
+
+
+def _gap_union(lam: ZPartition, mu: ZPartition) -> bool:
+    # gap_union_contains on validated partitions
     if len(lam) < 2:
         raise ValueError("the gap union needs a partition of width >= 2")
-    mu = as_zpartition(mu)
     n = len(lam)
     off = len(mu) - n
     if off < 0:

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import combinations_with_replacement, product, repeat
-from operator import add
+from itertools import combinations_with_replacement, product
 from typing import Sequence
 
 ZPartition = tuple[int, ...]
@@ -109,7 +108,7 @@ def _children(lam: ShiftClass) -> frozenset[ShiftClass]:
     out = set()
     for d in range(lam[-2] + 1):
         spans = [range(lam[i + 1] - d, lam[i] - d + 1) for i in range(len(lam) - 2)]
-        out.update(map(add, product(*spans), repeat((0,))))
+        out.update(product(*spans, (0,)))
     return frozenset(out)
 
 

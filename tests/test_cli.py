@@ -263,6 +263,29 @@ def test_upset_and_hasse_refuse_oversized_requests_before_enumerating(capsys, mo
         assert (code, out) == (2, "") and "more than 10000000 inclusion checks" in err, err
 
 
+def test_hasse_guard_counts_code_rows(capsys, monkeypatch):
+    def hasse(*bounds):
+        return "drawn\n"
+
+    def ask(x, y, cols, length):
+        argv = ["ideal", "hasse", "--max-x", x, "--max-y", y, "--max-cols", cols, "--max-len", length]
+        return run(capsys, *argv)
+
+    # 3 001 ideals, so 3 001**2 ideal pairs pass the ceiling, but their 4.5 * 10**6
+    # codes would each get a row over all the others: refused before building any
+    start = time.process_time()
+    code, out, err = ask("3000", "0", "0", "0")
+    assert (code, out) == (2, "") and err.startswith("error: ") and "inclusion checks" in err, err
+    assert time.process_time() - start < 1
+    # the benchmarked families and those with a wide limit spread stay accepted
+    monkeypatch.setattr("slinf.cli.family_hasse", hasse)
+    for bounds in (
+        ("2", "2", "2", "2"), ("2", "1", "2", "2"), ("0", "500", "0", "0"), ("0", "1500", "0", "0"),
+        ("1", "60", "1", "1"), ("0", "12", "1", "12"), ("2", "20", "2", "2"),
+    ):
+        assert ask(*bounds) == (0, "drawn\n", ""), bounds
+
+
 def test_verify_ceiling_estimate_is_bounded(capsys, tmp_path):
     # math.comb(2 * 10**6, 10**6) alone takes about 45 s; the estimate must not compute it
     huge = 3_000_000
@@ -282,9 +305,17 @@ def test_verify_ceiling_estimate_is_bounded(capsys, tmp_path):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert run(capsys, "bogus-verb")[0] == 2
-    assert run(capsys)[0] == 2
-    assert run(capsys, "--help")[0] == 0
+    # argparse's refusals, in subcommands too, are one error line like every other refusal
+    for argv in (
+        ["bogus-verb"], [], ["ideal"], ["ideal", "hasse", "--max-x", "q"], ["dominates", "[1,0]"],
+        ["plscheck", "[1,0]", "--widths=0", "--bound="],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: slinf")
+    code, out, err = run(capsys, "ideal", "hasse", "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: slinf ideal hasse")
 
 
 def test_wide_inputs_refuse_cleanly(capsys):
@@ -427,9 +458,8 @@ def test_ideal_queries_fuzz(verb, ideal):
     assert_exit_contract(["ideal", verb[0], json.dumps(ideal), *verb[1:]], (0, 2))
 
 
-# window options that argparse accepts (it refuses the others with its own usage
-# message): mostly windows inside 2..5, else ranges that may be reversed, empty
-# or below width 2; bounds and slacks may be negative
+# window options that parse: mostly windows inside 2..5, else ranges that may be
+# reversed, empty or below width 2; bounds and slacks may be negative
 window_widths = st.integers(0, 3).flatmap(lambda k: st.one_of(
     st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(-1, 5), st.integers(-1, 5)),
     st.builds(str, st.integers(-1, 5)),
@@ -450,6 +480,22 @@ def test_window_commands_fuzz(command, parts, system, widths, bound, slack):
     argv = [command, *map(json.dumps, parts), "--system", system, f"--widths={widths}", f"--bound={bound}"]
     if command == "clscheck":
         argv.append(f"--slack={slack}")
+    assert_bool_contract(argv)
+
+
+# any text for the numeric options, mostly text that does not parse
+option_text = st.one_of(st.text(max_size=8), window_widths, st.integers(-2, 4).map(str))
+
+
+@given(st.sampled_from(["plscheck", "clscheck", "upset"]), option_text, option_text, option_text)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_option_text_fuzz(command, first, second, third):
+    if command == "upset":
+        assert_exit_contract(["ideal", "upset", '{"x":1,"y":1,"yl":[1],"yr":[]}', f"--cap={first}"], (0, 2))
+        return
+    argv = [command, "[2,1,0]", f"--widths={first}", f"--bound={second}"]
+    if command == "clscheck":
+        argv.append(f"--slack={third}")
     assert_bool_contract(argv)
 
 

@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slinf import dominance
+import slinf
+from slinf import dominance, partitions
 from slinf.dominance import (
     MAX_CHAIN_DEPTH,
     dominates_interlace,
@@ -15,6 +18,7 @@ from slinf.dominance import (
 )
 from slinf.local_systems import avoiding_system_contains
 from slinf.partitions import _children, canonicalize, enumerate_classes, shift
+from slinf.verify import run_suite
 
 small_partitions = st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -235,7 +239,11 @@ def test_oracle_decides_by_chain_search_alone(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the chain oracle consulted a closed form")
 
-    for name in ("dominates_interlace", "gap_criterion"):
+    closed_forms = (
+        "dominates_interlace", "gap_criterion",
+        "_interlaces", "_gap_criterion", "_equal_ends", "_tight_gaps", "_wide_window",
+    )
+    for name in closed_forms:
         monkeypatch.setattr(dominance, name, forbidden)
     monkeypatch.setattr("slinf.dominance.is_gt_step", forbidden)
     dominance._dominates.cache_clear()
@@ -243,6 +251,29 @@ def test_oracle_decides_by_chain_search_alone(monkeypatch):
     for lam in classes:
         for mu in classes:
             assert dominates_oracle(lam, mu) == dominates_reference(lam, mu), (lam, mu)
+
+
+def test_dominance_suites_validate_each_class_once(monkeypatch):
+    # the suites replay the kernels on classes validated up front, so the
+    # validations grow with the classes, not with the pairs
+    calls = 0
+    real = partitions.as_zpartition
+
+    def counting(entries):
+        nonlocal calls
+        calls += 1
+        return real(entries)
+
+    modules = [slinf] + [importlib.import_module(f"slinf.{info.name}")
+                         for info in pkgutil.iter_modules(slinf.__path__) if info.name != "__main__"]
+    for module in modules:
+        if getattr(module, "as_zpartition", None) is real:
+            monkeypatch.setattr(module, "as_zpartition", counting)
+    for suite in ("pmain", "lgts2"):
+        calls = 0
+        report = run_suite(suite)
+        classes = report.details["lam_classes"] + report.details["mu_classes"]
+        assert report.failed == 0 and calls <= classes + 10, (suite, calls, classes)
 
 
 def test_chain_depth_limit_refuses_wider_gaps():

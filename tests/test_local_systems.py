@@ -3,7 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slinf.dominance import dominates_oracle
+from slinf.dominance import (
+    dominates_interlace,
+    dominates_oracle,
+    equal_ends_hypotheses,
+    gap_criterion,
+    tight_gaps_hypotheses,
+    wide_window_hypotheses,
+)
 from slinf.local_systems import (
     LevelWindow,
     LocalSystem,
@@ -17,6 +24,7 @@ from slinf.local_systems import (
     is_precoherent_on_window,
 )
 from slinf.partitions import canonicalize, enumerate_classes
+from slinf.verify import run_suite
 
 
 def test_avoiding_system_examples():
@@ -230,9 +238,33 @@ def test_membership_keeps_validating_each_argument():
         (0, 1): "Z-partition entries must be nonincreasing: [0, 1]",
     }
     good = (2, 1, 0)
-    for decide in (avoiding_system_contains, gap_union_contains, dominates_oracle):
+
+    def wide_window_at_1(lam, mu):
+        return wide_window_hypotheses(lam, mu, 1)
+
+    for decide in (
+        avoiding_system_contains, gap_union_contains, dominates_oracle, dominates_interlace, gap_criterion,
+        equal_ends_hypotheses, tight_gaps_hypotheses, wide_window_at_1,
+    ):
         for bad, message in bad_inputs.items():
             for args in ((bad, good), (good, bad)):
                 with pytest.raises(ValueError) as info:
                     decide(*args)
                 assert str(info.value) == message, (decide.__name__, args)
+
+
+def test_pair_preconditions_refuse_through_entry_points_and_suites():
+    # these checks relate the two arguments, so the kernels keep them and the
+    # suites, which call the kernels on classes they validated, refuse the same way
+    width_message = "the gap union needs a partition of width >= 2"
+    for call, message in (
+        (lambda: gap_criterion((1, 0), (2, 1, 0)), "need #mu >= #lam, got 2 < 3"),
+        (lambda: gap_union_contains((1,), (1, 0)), width_message),
+        (lambda: run_suite("lgts2", {"lam_width": 3, "mu_widths": [2]}), "need #mu >= #lam, got 2 < 3"),
+        (lambda: run_suite("pmain", {"lam_width": 1}), width_message),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="i must be a positive index"):
+        wide_window_hypotheses((1, 0), (2, 1, 0), 0)
