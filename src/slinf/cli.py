@@ -20,8 +20,8 @@ from .ideals import (
     Ideal,
     cls_union,
     containing_ideals,
-    family_size,
     highest_weight,
+    inclusion_rows_checks,
     is_contained,
     upset_size,
 )
@@ -188,13 +188,7 @@ def _cmd_ideal_upset(args) -> int:
 def _cmd_ideal_hasse(args) -> int:
     bounds = (args.max_x, args.max_y, args.max_cols, args.max_len)
     if min(bounds) >= 0:  # negative bounds are left for family_hasse to refuse
-        size = family_size(*bounds, verify.DEFAULT_CEILING)
-        # inclusion_rows also holds one bitset row over the family's codes per
-        # code: x + 1 codes for each ideal of x, family_size * (max_x + 2) / 2
-        # in all.  A row decides its code pairs a 64-bit word at a time, so
-        # they count 64 to a check.
-        codes = size * (args.max_x + 2) // 2
-        checks = max(size * size, codes * codes // 64)
+        checks = inclusion_rows_checks(*bounds, verify.DEFAULT_CEILING)
         _refuse_past_ceiling(checks, "the Hasse diagram of this family", "the --max-* bounds")
     text = family_hasse(args.max_x, args.max_y, args.max_cols, args.max_len, args.format)
     sys.stdout.write(text)

@@ -173,10 +173,18 @@ def code_included(inner: ClsCode, outer: ClsCode) -> bool:
     if d < 0:
         return False
     slack_p = seq_slack(inner.p, outer.p)
-    if slack_p < 0:
-        return False
-    slack_q = seq_slack(inner.q, outer.q)
-    return slack_q >= 0 and slack_p + slack_q >= d
+    # a p half that fails already decides, so its q slack is not computed
+    return slack_p >= 0 and _split_fits(d, slack_p, seq_slack(inner.q, outer.q))
+
+
+def _split_fits(d, slack_p, slack_q) -> bool:
+    """The slack criterion: is there a split a + b = d with 0 <= a <= slack_p and 0 <= b <= slack_q?
+
+    The admissible a form the interval [max(0, d - slack_q), min(d, slack_p)],
+    which is nonempty iff d >= 0, slack_p >= 0, slack_q >= 0 and
+    slack_p + slack_q >= d.  A slack may be +inf or -inf.
+    """
+    return slack_p >= 0 and slack_q >= 0 and 0 <= d <= slack_p + slack_q
 
 
 def code_included_oracle(inner: ClsCode, outer: ClsCode) -> bool:

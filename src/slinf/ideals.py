@@ -12,11 +12,13 @@ A single ideal pair compares the outer ideal's (x, 0) split with the inner
 ideal's codes (``is_contained``), and an upset does the same for every
 candidate at once (``containing_ideals``); a whole family is decided on the
 full code unions (``inclusion_rows``), and the ``split-consistency`` suite
-replays one route against the other.  A direct closed-form condition on the
+replays one route against the other.  Every route rests on one slack form:
+a split a + b = d fits under two slacks s_p, s_q iff s_p >= 0, s_q >= 0 and
+s_p + s_q >= d (``code_included``).  A direct closed-form condition on the
 diagram columns exists in the literature but disagrees with those corollaries
-as printed; it is kept here (``diagram_order_condition``) purely so the
-``tord-discrepancy`` verify suite can report the disagreement, and is never
-used for decisions.
+as printed; it is kept here (``diagram_order_condition``, decided by the same
+slack form on column slacks) purely so the ``tord-discrepancy`` verify suite
+can report the disagreement, and is never used for decisions.
 """
 
 from __future__ import annotations
@@ -24,9 +26,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations_with_replacement
+from operator import sub
 from typing import Mapping, Sequence
 
-from .cls_codes import ClsCode, ExtSequence, _order_rows, bit_indices, code_included, or_of_rows, seq_slack
+from .cls_codes import (
+    INF,
+    ClsCode,
+    ExtSequence,
+    _order_rows,
+    _split_fits,
+    bit_indices,
+    code_included,
+    or_of_rows,
+    seq_slack,
+)
 from .partitions import YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
 
 
@@ -169,24 +182,33 @@ def inclusion_rows(ideals: Sequence[Ideal]) -> list[int]:
     ]
 
 
-def _columns_fit(cols: YoungDiagram, outer_cols: YoungDiagram, drop: int, shove: int, padded: bool) -> bool:
-    # cols_i - drop >= outer_cols_{i + shove} over the quantified 1-based i,
-    # with columns read as 0 beyond their diagram.
+def _column_slack(cols: YoungDiagram, outer_cols: YoungDiagram, shove: int, padded: bool) -> int | float:
+    # min of cols_i - outer_cols_{i + shove} over the quantified 1-based i, with
+    # columns read as 0 beyond their diagram; +inf when no i is quantified.
     top = max(len(cols), len(outer_cols)) + 1 if padded else len(cols)
     high = outer_cols[shove : shove + top]
-    return all(c - drop >= o for c, o in zip(cols + (0,) * (top - len(cols)), high + (0,) * (top - len(high))))
+    return min(map(sub, cols + (0,) * (top - len(cols)), high + (0,) * (top - len(high))), default=INF)
 
 
 def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> bool:
     """Closed-form inclusion test stated directly on (x, y) and the columns.
 
-    Requires x, y to weakly drop and searches nonnegative splits
+    Requires x, y to weakly drop and asks for nonnegative splits
     a + b = y_inner - y_outer, c + d = x_inner - x_outer such that
     l_i - a >= l'_{i+c} and r_j - b >= r'_{j+d} (primes: the outer ideal).
 
+    Decided by column slacks, with the argument of code_included: the left
+    inequalities hold for a exactly when a <= sL(c), the minimum of
+    l_i - l'_{i+c} over the quantified i (+inf when there is none), and the
+    right ones when b <= sR(d), likewise.  So the condition holds iff some
+    c + d = dx has a split of dy under the slacks: sL(c) >= 0, sR(d) >= 0
+    and sL(c) + sR(d) >= dy.  That is at most 2(dx + 1) minima, where the
+    split search it replaces tried up to (dx + 1)(dy + 1) pairs of splits.
+
     With padded=True the inequalities are required at every index, columns
-    being zero beyond their diagrams; that forces a = b = 0, so the test
-    rejects every inclusion where y strictly drops -- the disagreement the
+    being zero beyond their diagrams; the last padded index then gives a
+    slack of at most 0, which forces a = b = 0, so the test rejects every
+    inclusion where y strictly drops -- the disagreement the
     ``tord-discrepancy`` suite reports.  With padded=False they are required
     only at the inner ideal's actual column indices, which instead
     over-accepts when the inner diagrams are short.  Documentation only:
@@ -198,15 +220,14 @@ def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> 
     dy = inner.y - outer.y
     if dx < 0 or dy < 0:
         return False
-    for a in range(dy + 1):
-        b = dy - a
-        for c in range(dx + 1):
-            d = dx - c
-            if _columns_fit(inner.yl, outer.yl, a, c, padded) and _columns_fit(
-                inner.yr, outer.yr, b, d, padded
-            ):
-                return True
-    return False
+    return any(
+        _split_fits(
+            dy,
+            _column_slack(inner.yl, outer.yl, c, padded),
+            _column_slack(inner.yr, outer.yr, dx - c, padded),
+        )
+        for c in range(dx + 1)
+    )
 
 
 def is_maximal(ideal: Ideal) -> bool:
@@ -365,6 +386,20 @@ def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -
         raise ValueError("family bounds must be >= 0")
     diagrams = diagram_count(max_cols, max_len, cap)
     return (max_x + 1) * (max_y + 1) * diagrams * diagrams
+
+
+def inclusion_rows_checks(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -> int:
+    """The checks inclusion_rows pays on enumerate_ideals(...), without enumerating.
+
+    Its ideal pairs, or its code pairs if those weigh more: it holds one
+    bitset row over the family's codes per code, x + 1 codes for each ideal
+    of x, family_size * (max_x + 2) / 2 in all, and a row decides its code
+    pairs a 64-bit word at a time, so they count 64 to a check.  Exact up to
+    cap, some number past cap beyond it, like family_size.
+    """
+    size = family_size(max_x, max_y, max_cols, max_len, cap)
+    codes = size * (max_x + 2) // 2
+    return max(size * size, codes * codes // 64)
 
 
 def upset_size(ideal: Ideal, width_cap: int, cap: int) -> int:

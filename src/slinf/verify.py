@@ -20,12 +20,12 @@ from pathlib import Path
 from .cls_codes import (
     ClsCode,
     ExtSequence,
+    _split_fits,
     bit_indices,
-    code_included,
     code_included_oracle,
     code_rows,
     or_of_rows,
-    union_included,
+    seq_slack,
 )
 from .dominance import _chain_oracle, _equal_ends, _gap_criterion, _interlaces, _tight_gaps, _wide_window
 from .ideals import (
@@ -37,6 +37,7 @@ from .ideals import (
     enumerate_ideals,
     family_size,
     inclusion_rows,
+    inclusion_rows_checks,
     is_contained,
     split_code,
 )
@@ -309,6 +310,17 @@ def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -
     return containment_checks
 
 
+def _intern(index: dict, code: ClsCode) -> tuple[int, int, int]:
+    """(limit, p, q) of a code, each half numbered by index, which interns it on first sight."""
+    return code.limit, index.setdefault(code.p, len(index)), index.setdefault(code.q, len(index))
+
+
+def _slack_table(index: dict) -> list[list]:
+    """seq_slack over every ordered pair of the interned sequences: slack[a][b] = seq_slack(a, b)."""
+    seqs = list(index)
+    return [[seq_slack(a, b) for b in seqs] for a in seqs]
+
+
 def _code_grid(grid: dict) -> tuple[list[ExtSequence], list[ClsCode]]:
     """The grid's sequences and every code built from two of them, in canonical order."""
     seqs = []
@@ -339,9 +351,15 @@ def _suite_code_slack(grid: dict, ceiling: int) -> VerifyReport:
     n = len(codes)
     _guard(n * n, ceiling, "code-slack")
     bad = _Collector()
-    for inner, row in zip(codes, code_rows(codes)):
-        for j, outer in enumerate(codes):
-            slack = code_included(inner, outer)
+    # the slack form: code_included's criterion on one table of slacks over
+    # the interned sequences, not a seq_slack pair per pair of codes
+    index: dict[ExtSequence, int] = {}
+    keys = [_intern(index, code) for code in codes]
+    table = _slack_table(index)
+    for inner, (limit, p, q), row in zip(codes, keys, code_rows(codes)):
+        slack_p, slack_q = table[p], table[q]
+        for j, (outer, (m, pj, qj)) in enumerate(zip(codes, keys)):
+            slack = _split_fits(m - limit, slack_p[pj], slack_q[qj])
             in_rows = bool((row >> j) & 1)
             oracle = code_included_oracle(inner, outer)
             if not slack == in_rows == oracle:
@@ -364,10 +382,16 @@ def _family_size(grid: dict, ceiling: int) -> int:
     return family_size(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"], ceiling)
 
 
+def _guard_rows(projected: int, grid: dict, ceiling: int, suite: str):
+    """_guard for a suite that builds inclusion_rows, whose code rows may cost more than its pairs."""
+    rows = inclusion_rows_checks(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"], ceiling)
+    _guard(max(projected, rows), ceiling, suite)
+
+
 def _suite_ideal_order(grid: dict, ceiling: int) -> VerifyReport:
     n = _family_size(grid, ceiling)
     projected = 2 * n * n + n
-    _guard(projected, ceiling, "ideal-order")
+    _guard_rows(projected, grid, ceiling, "ideal-order")
     family = _family(grid)
     bad = _Collector()
     containment_checks = _partial_order_violations(family, inclusion_rows(family), Ideal.to_json, bad)
@@ -399,7 +423,7 @@ def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
     n = _family_size(grid, ceiling)
     chains = int(grid.get("chains", 1000))
     checked = n * n + chains
-    _guard(checked, ceiling, "acc")
+    _guard_rows(checked, grid, ceiling, "acc")
     family = _family(grid)
     bad = _Collector()
     rows = inclusion_rows(family)
@@ -436,72 +460,108 @@ def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
 def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     n = _family_size(grid, ceiling)
     checked = n * n
-    _guard(checked, ceiling, "split-consistency")
+    _guard_rows(checked, grid, ceiling, "split-consistency")
     family = _family(grid)
     bad = _Collector()
     rows = inclusion_rows(family)
-    # the single split (c, d) = (x, 0) of each outer ideal's union
-    singles = [split_code(outer, outer.x) for outer in family]
-    for inner, row in zip(family, rows):
-        inner_union = cls_union(inner)
-        for j, (outer, single_code) in enumerate(zip(family, singles)):
+    # the single split (c, d) = (x, 0) of each outer ideal's union, and every
+    # code of each inner ideal, as (limit, p, q) over interned sequences; a
+    # pair of codes is decided by the slack criterion on one slack table,
+    # pair by pair, with no code_included call and no mask
+    index: dict[ExtSequence, int] = {}
+    singles = [_intern(index, split_code(outer, outer.x)) for outer in family]
+    unions = [[_intern(index, code) for code in cls_union(inner)] for inner in family]
+    table = _slack_table(index)
+    for inner, row, union in zip(family, rows, unions):
+        for j, (limit, p, q) in enumerate(singles):
+            slack_p, slack_q = table[p], table[q]
+            single = any(_split_fits(m - limit, slack_p[pk], slack_q[qk]) for m, pk, qk in union)
             full = bool((row >> j) & 1)
-            single = union_included((single_code,), inner_union)
             if full != single:
                 bad.add({
-                    "inner": inner.to_json(), "outer": outer.to_json(),
+                    "inner": inner.to_json(), "outer": family[j].to_json(),
                     "full_union": full, "single_split": single,
                 })
     return _finish("split-consistency", grid, checked, bad, {"family": n})
 
 
+def _blocks(family: list[Ideal]) -> tuple[int, int]:
+    """(ys, block): family[(x * ys + y) * block + k] has x, y and the k-th diagram pair (Yl, Yr).
+
+    That is the layout of enumerate_ideals, the sorted product of x, y (ys
+    values) and two diagrams (block pairs of them); checked, and ValueError
+    if the family is laid out otherwise.
+    """
+    diagrams = sorted({ideal.yl for ideal in family})
+    xs, ys = max(ideal.x for ideal in family) + 1, max(ideal.y for ideal in family) + 1
+    product = [(x, y, yl, yr) for x in range(xs) for y in range(ys) for yl in diagrams for yr in diagrams]
+    if [(ideal.x, ideal.y, ideal.yl, ideal.yr) for ideal in family] != product:
+        raise ValueError("the family is not the sorted product of x, y and two diagrams")
+    return ys, len(diagrams) ** 2
+
+
+def _diagram_condition_rows(family: list[Ideal], padded: bool) -> list[int]:
+    """Bitset rows of diagram_order_condition: bit j of row i iff it holds for (family[i], family[j]).
+
+    The condition reads only the drops dx, dy and the four diagrams, and is
+    false unless both drops are >= 0.  The ideal (dx, dy, Yl, Yr) of the
+    family stands for the key (dx, dy, inner diagrams): the condition is
+    evaluated once per key and outer diagram pair, with the outers of the
+    x = y = 0 block, which gives one mask per key over the outer diagram
+    pairs.  Row i is the OR of its keys' masks, each shifted to the block of
+    outers with x = x_i - dx and y = y_i - dy.
+    """
+    ys, block = _blocks(family)
+    outers = family[:block]
+    masks = [
+        sum(1 << k for k, outer in enumerate(outers) if diagram_order_condition(key, outer, padded))
+        for key in family
+    ]
+    return [
+        sum(
+            masks[(dx * ys + dy) * block + k % block] << ((ideal.x - dx) * ys + ideal.y - dy) * block
+            for dx in range(ideal.x + 1)
+            for dy in range(ideal.y + 1)
+        )
+        for k, ideal in enumerate(family)
+    ]
+
+
 def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     n = _family_size(grid, ceiling)
     checked = 3 * n * n
-    _guard(checked, ceiling, "tord-discrepancy")
+    _guard_rows(checked, grid, ceiling, "tord-discrepancy")
     family = _family(grid)
     bad = _Collector()
-    padded_missed = 0
+    padded_missed = padded_unsound = loose_missed = loose_unsound = 0
     padded_missed_sample: list[dict] = []
-    loose_unsound = 0
-    loose_missed = 0
+    actual_rows = inclusion_rows(family)
+    padded_rows = _diagram_condition_rows(family, padded=True)
+    loose_rows = _diagram_condition_rows(family, padded=False)
+    # counts come from the rows; pairs are walked one at a time only where
+    # they are stored, in pair order
+    for inner, actual, padded, loose in zip(family, actual_rows, padded_rows, loose_rows):
+        unsound, missed = padded & ~actual, actual & ~padded
+        padded_unsound += unsound.bit_count()
+        padded_missed += missed.bit_count()
+        loose_unsound += (loose & ~actual).bit_count()
+        loose_missed += (actual & ~loose).bit_count()
+        for j in bit_indices(unsound):
+            # the one direction that would invalidate the printed form even
+            # as documentation: it must stay sound
+            bad.add({
+                "law": "printed-condition-unsound",
+                "inner": inner.to_json(), "outer": family[j].to_json(),
+            })
+        for j in bit_indices(missed):
+            if len(padded_missed_sample) == 10:
+                break
+            padded_missed_sample.append({"inner": inner.to_json(), "outer": family[j].to_json()})
     required_inner = Ideal(0, 1, (), ())
     required_outer = AUGMENTATION_IDEAL
-    required_seen = False
-    padded_unsound = 0
-    # the condition reads only the drops in x and y and the four diagrams,
-    # so it is evaluated once per distinct key (drops, diagrams)
-    readings: dict[tuple, tuple[bool, bool]] = {}
-    for inner, row in zip(family, inclusion_rows(family)):
-        for j, outer in enumerate(family):
-            actual = bool((row >> j) & 1)
-            key = (inner.x - outer.x, inner.y - outer.y, inner.yl, inner.yr, outer.yl, outer.yr)
-            if key not in readings:
-                readings[key] = (
-                    diagram_order_condition(inner, outer, padded=True),
-                    diagram_order_condition(inner, outer, padded=False),
-                )
-            padded, loose = readings[key]
-            if padded and not actual:
-                # the one direction that would invalidate the printed form
-                # even as documentation: it must stay sound
-                padded_unsound += 1
-                bad.add({
-                    "law": "printed-condition-unsound",
-                    "inner": inner.to_json(), "outer": outer.to_json(),
-                })
-            if actual and not padded:
-                padded_missed += 1
-                if len(padded_missed_sample) < 10:
-                    padded_missed_sample.append(
-                        {"inner": inner.to_json(), "outer": outer.to_json()}
-                    )
-                if inner == required_inner and outer == required_outer:
-                    required_seen = True
-            if loose and not actual:
-                loose_unsound += 1
-            if actual and not loose:
-                loose_missed += 1
+    where = {ideal: k for k, ideal in enumerate(family)}
+    i, j = where.get(required_inner), where.get(required_outer)
+    required_seen = None not in (i, j) and bool((actual_rows[i] & ~padded_rows[i]) >> j & 1)
     if not required_seen:
         bad.add({
             "law": "expected-discrepancy-instance-missing",

@@ -294,6 +294,22 @@ def test_verify_ceiling_estimate_is_bounded(capsys, tmp_path):
         assert time.process_time() - start < 5
 
 
+def test_verify_guards_count_code_rows_before_enumerating(capsys, monkeypatch, tmp_path):
+    # 3 001 ideals pass as pairs (acc projects 3 001**2 + 1 000 checks, under the
+    # ceiling), but inclusion_rows would hold a row for each of their 4.5 * 10**6 codes
+    def forbidden(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr("slinf.verify.enumerate_ideals", forbidden)
+    bounds = {"max_x": 3000, "max_y": 0, "max_cols": 0, "max_len": 0}
+    suites = ("acc", "split-consistency", "ideal-order", "tord-discrepancy")
+    grids = tmp_path / "wide_x.json"
+    grids.write_text(json.dumps({"suites": {suite: bounds for suite in suites}}))
+    for suite in suites:
+        code, out, err = run(capsys, "verify", suite, "--grid-file", str(grids))
+        assert (code, out) == (2, "") and "above the ceiling" in err, (suite, err)
+
+
 def test_usage_errors_exit_2(capsys):
     # argparse's refusals, in subcommands too, are one error line like every other refusal
     for argv in (

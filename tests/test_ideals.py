@@ -19,6 +19,7 @@ from slinf.ideals import (
     is_maximal,
     make_weight,
 )
+from slinf.partitions import YoungDiagram
 
 
 def test_code_sequence_examples():
@@ -80,6 +81,52 @@ def test_diagram_order_condition_unpadded_reading():
     # but over-accepts when the inner diagrams are shorter
     assert diagram_order_condition(AUGMENTATION_IDEAL, Ideal(0, 0, (1,)), padded=False) is True
     assert is_contained(AUGMENTATION_IDEAL, Ideal(0, 0, (1,))) is False
+
+
+def _columns_fit(cols: YoungDiagram, outer_cols: YoungDiagram, drop: int, shove: int, padded: bool) -> bool:
+    # cols_i - drop >= outer_cols_{i + shove} over the quantified 1-based i,
+    # with columns read as 0 beyond their diagram.
+    top = max(len(cols), len(outer_cols)) + 1 if padded else len(cols)
+    high = outer_cols[shove : shove + top]
+    return all(c - drop >= o for c, o in zip(cols + (0,) * (top - len(cols)), high + (0,) * (top - len(high))))
+
+
+def diagram_order_search(inner: Ideal, outer: Ideal, padded: bool = True) -> bool:
+    """The split search diagram_order_condition used before its slack form, kept verbatim as its reference.
+
+    Searches nonnegative splits a + b = y_inner - y_outer, c + d = x_inner -
+    x_outer with l_i - a >= l'_{i+c} and r_j - b >= r'_{j+d} at the
+    quantified indices, trying every (a, c).
+    """
+    if inner.zero or outer.zero:
+        raise ValueError("the diagram condition is defined for nonzero ideals only")
+    dx = inner.x - outer.x
+    dy = inner.y - outer.y
+    if dx < 0 or dy < 0:
+        return False
+    for a in range(dy + 1):
+        b = dy - a
+        for c in range(dx + 1):
+            d = dx - c
+            if _columns_fit(inner.yl, outer.yl, a, c, padded) and _columns_fit(
+                inner.yr, outer.yr, b, d, padded
+            ):
+                return True
+    return False
+
+
+# past the frozen family (x, y <= 2, diagrams of <= 2 columns of length <= 2)
+condition_diagrams = st.sampled_from(enumerate_diagrams(3, 3))
+
+
+@given(st.builds(Ideal, st.integers(0, 3), st.integers(0, 3), condition_diagrams, condition_diagrams), st.data())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_diagram_order_condition_slack_form_equals_split_search(inner, data):
+    # mostly drops >= 0, where the condition has splits to search
+    drop_x, drop_y = (st.one_of(st.integers(0, v), st.integers(0, 3)) for v in (inner.x, inner.y))
+    outer = data.draw(st.builds(Ideal, drop_x, drop_y, condition_diagrams, condition_diagrams))
+    for padded in (True, False):
+        assert diagram_order_condition(inner, outer, padded) == diagram_order_search(inner, outer, padded)
 
 
 def test_diagram_order_condition_rejects_zero():
