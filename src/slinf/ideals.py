@@ -63,6 +63,20 @@ class Ideal:
         if self.zero and (self.x or self.y or self.yl or self.yr):
             raise ValueError("the zero ideal carries no data")
 
+    @classmethod
+    def _trusted(cls, x: int, y: int, yl: YoungDiagram, yr: YoungDiagram) -> "Ideal":
+        """A nonzero ideal without __post_init__, for enumerator output only: data valid by construction."""
+        ideal = object.__new__(cls)
+        # one attribute at a time, as the dataclass __init__ sets them, keeps
+        # the instance as small as a validated one; __dict__.update doubles it
+        setattr_ = object.__setattr__
+        setattr_(ideal, "x", x)
+        setattr_(ideal, "y", y)
+        setattr_(ideal, "yl", yl)
+        setattr_(ideal, "yr", yr)
+        setattr_(ideal, "zero", False)
+        return ideal
+
     def sort_key(self):
         return (0 if self.zero else 1, self.x, self.y, self.yl, self.yr)
 
@@ -202,8 +216,11 @@ def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> 
     l_i - l'_{i+c} over the quantified i (+inf when there is none), and the
     right ones when b <= sR(d), likewise.  So the condition holds iff some
     c + d = dx has a split of dy under the slacks: sL(c) >= 0, sR(d) >= 0
-    and sL(c) + sR(d) >= dy.  That is at most 2(dx + 1) minima, where the
-    split search it replaces tried up to (dx + 1)(dy + 1) pairs of splits.
+    and sL(c) + sR(d) >= dy (_some_split_fits).  A column slack reads only
+    two diagrams, a shove and the reading, so this takes 2(dx + 1) minima
+    per pair, where the split search it replaces tried up to
+    (dx + 1)(dy + 1) pairs of splits; a whole family takes them from one
+    table per reading instead (``verify._diagram_condition_rows``).
 
     With padded=True the inequalities are required at every index, columns
     being zero beyond their diagrams; the last padded index then gives a
@@ -220,14 +237,18 @@ def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> 
     dy = inner.y - outer.y
     if dx < 0 or dy < 0:
         return False
-    return any(
-        _split_fits(
-            dy,
-            _column_slack(inner.yl, outer.yl, c, padded),
-            _column_slack(inner.yr, outer.yr, dx - c, padded),
-        )
-        for c in range(dx + 1)
-    )
+    left = [_column_slack(inner.yl, outer.yl, c, padded) for c in range(dx + 1)]
+    right = [_column_slack(inner.yr, outer.yr, d, padded) for d in range(dx + 1)]
+    return _some_split_fits(dx, dy, left, right)
+
+
+def _some_split_fits(dx: int, dy: int, left, right) -> bool:
+    """The diagram condition on column slacks: some c + d = dx has _split_fits(dy, left[c], right[d]).
+
+    left[c] = sL(c) and right[d] = sR(d) are read for shoves 0..dx only, so
+    longer tables serve too.
+    """
+    return any(_split_fits(dy, left[c], right[dx - c]) for c in range(dx + 1))
 
 
 def is_maximal(ideal: Ideal) -> bool:
@@ -371,7 +392,7 @@ def enumerate_ideals(max_x: int, max_y: int, max_cols: int, max_len: int) -> lis
         raise ValueError("family bounds must be >= 0")
     diagrams = enumerate_diagrams(max_cols, max_len)
     family = [
-        Ideal(x, y, yl, yr)
+        Ideal._trusted(x, y, yl, yr)
         for x in range(max_x + 1)
         for y in range(max_y + 1)
         for yl in diagrams
@@ -476,5 +497,5 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
                         row |= covered[c0][max(0, d - s_p)]
                         if row == full:
                             break
-                found.extend(Ideal(x, y, yl, right[j]) for j in bit_indices(row))
+                found.extend(Ideal._trusted(x, y, yl, right[j]) for j in bit_indices(row))
     return sorted(found, key=Ideal.sort_key)

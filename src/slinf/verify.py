@@ -14,7 +14,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress, product
+from operator import ne
 from pathlib import Path
 
 from .cls_codes import (
@@ -31,9 +32,10 @@ from .dominance import _chain_oracle, _equal_ends, _gap_criterion, _interlaces, 
 from .ideals import (
     AUGMENTATION_IDEAL,
     Ideal,
+    _column_slack,
+    _some_split_fits,
     acc_measure,
     cls_union,
-    diagram_order_condition,
     enumerate_ideals,
     family_size,
     inclusion_rows,
@@ -42,7 +44,7 @@ from .ideals import (
     split_code,
 )
 from .local_systems import _gap_union
-from .partitions import ShiftClass, as_array, as_int, canonicalize, class_count, enumerate_classes
+from .partitions import ShiftClass, YoungDiagram, as_array, as_int, canonicalize, class_count, enumerate_classes
 
 DEFAULT_CEILING = 10_000_000
 MAX_STORED_COUNTEREXAMPLES = 50
@@ -426,29 +428,30 @@ def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
     _guard_rows(checked, grid, ceiling, "acc")
     family = _family(grid)
     bad = _Collector()
-    rows = inclusion_rows(family)
-    supersets: dict[Ideal, list[Ideal]] = {}
-    for i, inner in enumerate(family):
-        supersets[inner] = [family[j] for j in bit_indices(rows[i] & ~(1 << i))]
-        for outer in supersets[inner]:
-            if not acc_measure(outer) < acc_measure(inner):
+    # each ideal's measure once, and its strict supersets as indices into family
+    measures = [acc_measure(ideal) for ideal in family]
+    supersets = [list(bit_indices(row & ~(1 << i))) for i, row in enumerate(inclusion_rows(family))]
+    for inner, measure, above in zip(family, measures, supersets):
+        for j in above:
+            if not measures[j] < measure:
                 bad.add({
                     "law": "measure-not-decreasing",
-                    "inner": inner.to_json(), "outer": outer.to_json(),
-                    "inner_measure": list(acc_measure(inner)),
-                    "outer_measure": list(acc_measure(outer)),
+                    "inner": inner.to_json(), "outer": family[j].to_json(),
+                    "inner_measure": list(measure),
+                    "outer_measure": list(measures[j]),
                 })
     rng = random.Random(int(grid.get("seed", 0)))
     step_cap = len(family) + 1
     longest = 0
     for _ in range(chains):
-        ideal = rng.choice(family)
+        # choice from a range draws as choice from family does
+        k = rng.choice(range(len(family)))
         steps = 0
-        while supersets[ideal]:
-            ideal = rng.choice(supersets[ideal])
+        while supersets[k]:
+            k = rng.choice(supersets[k])
             steps += 1
             if steps > step_cap:
-                bad.add({"law": "chain-did-not-stabilize", "at": ideal.to_json()})
+                bad.add({"law": "chain-did-not-stabilize", "at": family[k].to_json()})
                 break
         longest = max(longest, steps)
     return _finish(
@@ -471,51 +474,62 @@ def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     index: dict[ExtSequence, int] = {}
     singles = [_intern(index, split_code(outer, outer.x)) for outer in family]
     unions = [[_intern(index, code) for code in cls_union(inner)] for inner in family]
-    table = _slack_table(index)
+    # under[b][a] = seq_slack(a, b): the slack of every sequence a below b
+    under = list(zip(*_slack_table(index)))
     for inner, row, union in zip(family, rows, unions):
-        for j, (limit, p, q) in enumerate(singles):
-            slack_p, slack_q = table[p], table[q]
-            single = any(_split_fits(m - limit, slack_p[pk], slack_q[qk]) for m, pk, qk in union)
-            full = bool((row >> j) & 1)
-            if full != single:
-                bad.add({
-                    "inner": inner.to_json(), "outer": family[j].to_json(),
-                    "full_union": full, "single_split": single,
-                })
+        # one list per code of inner over every outer single, and one any per single
+        fits = []
+        for m, pk, qk in union:
+            under_p, under_q = under[pk], under[qk]
+            fits.append([_split_fits(m - limit, under_p[p], under_q[q]) for limit, p, q in singles])
+        single = list(map(any, zip(*fits)))
+        full = list(map("1".__eq__, format(row, f"0{n}b")[::-1]))
+        for j in compress(range(n), map(ne, full, single)):
+            bad.add({
+                "inner": inner.to_json(), "outer": family[j].to_json(),
+                "full_union": full[j], "single_split": single[j],
+            })
     return _finish("split-consistency", grid, checked, bad, {"family": n})
 
 
-def _blocks(family: list[Ideal]) -> tuple[int, int]:
-    """(ys, block): family[(x * ys + y) * block + k] has x, y and the k-th diagram pair (Yl, Yr).
+def _blocks(family: list[Ideal]) -> tuple[int, int, list[YoungDiagram]]:
+    """(xs, ys, diagrams): family[(x * ys + y) * block + k] has x, y and the k-th diagram pair (Yl, Yr).
 
-    That is the layout of enumerate_ideals, the sorted product of x, y (ys
-    values) and two diagrams (block pairs of them); checked, and ValueError
-    if the family is laid out otherwise.
+    That is the layout of enumerate_ideals, the sorted product of x (xs
+    values), y (ys values) and two diagrams (block = len(diagrams)**2 pairs
+    of them); checked, and ValueError if the family is laid out otherwise.
     """
     diagrams = sorted({ideal.yl for ideal in family})
     xs, ys = max(ideal.x for ideal in family) + 1, max(ideal.y for ideal in family) + 1
-    product = [(x, y, yl, yr) for x in range(xs) for y in range(ys) for yl in diagrams for yr in diagrams]
-    if [(ideal.x, ideal.y, ideal.yl, ideal.yr) for ideal in family] != product:
+    layout = [(x, y, yl, yr) for x in range(xs) for y in range(ys) for yl in diagrams for yr in diagrams]
+    if [(ideal.x, ideal.y, ideal.yl, ideal.yr) for ideal in family] != layout:
         raise ValueError("the family is not the sorted product of x, y and two diagrams")
-    return ys, len(diagrams) ** 2
+    return xs, ys, diagrams
 
 
 def _diagram_condition_rows(family: list[Ideal], padded: bool) -> list[int]:
     """Bitset rows of diagram_order_condition: bit j of row i iff it holds for (family[i], family[j]).
 
-    The condition reads only the drops dx, dy and the four diagrams, and is
-    false unless both drops are >= 0.  The ideal (dx, dy, Yl, Yr) of the
-    family stands for the key (dx, dy, inner diagrams): the condition is
-    evaluated once per key and outer diagram pair, with the outers of the
-    x = y = 0 block, which gives one mask per key over the outer diagram
-    pairs.  Row i is the OR of its keys' masks, each shifted to the block of
-    outers with x = x_i - dx and y = y_i - dy.
+    The condition is false unless both drops dx, dy are >= 0, and then reads
+    only the column slacks sL(c) of the left diagrams and sR(d) of the right
+    ones, for c + d = dx (_some_split_fits).  A column slack reads two
+    diagrams and a shove, so one table per reading holds every slack the
+    family needs: slacks[a][b][c] is _column_slack of diagrams a and b at
+    shove c, for every shove below xs, len(diagrams)**2 * xs calls in all.
+    Each key (dx, dy, Yl, Yr), in the order of the family, gets one mask
+    over the outer diagram pairs, with _some_split_fits on table entries
+    per outer pair.  Row i is the OR of its keys' masks, each shifted to the
+    block of outers with x = x_i - dx and y = y_i - dy.
     """
-    ys, block = _blocks(family)
-    outers = family[:block]
+    xs, ys, diagrams = _blocks(family)
+    block = len(diagrams) ** 2
+    slacks = [[[_column_slack(a, b, c, padded) for c in range(xs)] for b in diagrams] for a in diagrams]
     masks = [
-        sum(1 << k for k, outer in enumerate(outers) if diagram_order_condition(key, outer, padded))
-        for key in family
+        sum(1 << k for k, (left, right) in enumerate(product(by_l, by_r)) if _some_split_fits(dx, dy, left, right))
+        for dx in range(xs)
+        for dy in range(ys)
+        for by_l in slacks
+        for by_r in slacks
     ]
     return [
         sum(

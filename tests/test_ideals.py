@@ -227,6 +227,25 @@ def test_enumerate_ideals_count():
     assert family == sorted(family, key=Ideal.sort_key)
 
 
+# the ideals of the benchmark's lattice upsets, all at width cap 4
+LATTICE_UPSETS = [
+    Ideal(2, 2, (2, 2), (2, 1)),
+    Ideal(2, 2, (2, 1), (2, 2)),
+    Ideal(1, 2, (2, 1), (1,)),
+    Ideal(1, 2, (1,), (2, 1)),
+]
+
+
+@pytest.mark.parametrize("upset_of", [None, *LATTICE_UPSETS], ids=lambda i: "frozen-family" if i is None else str(i))
+def test_enumerated_ideals_equal_validated_ones(upset_of):
+    # both enumerators build their ideals without __post_init__; each must be
+    # the ideal that validated construction gives, field for field
+    built = enumerate_ideals(2, 2, 2, 2) if upset_of is None else containing_ideals(upset_of, 4)
+    for ideal in built:
+        validated = Ideal(**ideal.to_json())
+        assert (ideal, hash(ideal), vars(ideal)) == (validated, hash(validated), vars(validated))
+
+
 def test_ideal_validation_and_json():
     with pytest.raises(ValueError):
         Ideal(-1, 0)

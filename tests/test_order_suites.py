@@ -1,16 +1,32 @@
-"""The split-consistency and tord-discrepancy replays: what they call, and what they report on faulty rows.
+"""The split-consistency, tord-discrepancy and acc replays: what they call, and what they report on faulty rows.
 
-Both suites replay pairs of ideals without a dataclass step per pair, so
-these tests pin their call counts on the frozen grid, and flip one bit of
-inclusion_rows to check that each still reports exactly the faults the
-pointwise definition predicts, with the same counterexamples.
+The suites take every per-pair input from a table built once per run:
+split-consistency from one seq_slack table over the interned sequences,
+tord-discrepancy from one table of column slacks per reading (inner
+diagram by outer diagram by shove), acc from one measure per ideal.
+These tests pin those call counts on the frozen grid, check the condition
+rows against the pointwise condition past it, and flip one bit of
+inclusion_rows to check that each suite still reports exactly the faults
+its pointwise definition predicts, with the same counterexamples.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slinf import cls_codes, ideals, verify
-from slinf.cls_codes import union_included
-from slinf.ideals import AUGMENTATION_IDEAL, Ideal, cls_union, diagram_order_condition, enumerate_ideals, split_code
+from slinf.cls_codes import bit_indices, union_included
+from slinf.ideals import (
+    AUGMENTATION_IDEAL,
+    Ideal,
+    acc_measure,
+    cls_union,
+    diagram_order_condition,
+    enumerate_ideals,
+    family_size,
+    split_code,
+)
 
 # asymmetric in x and y, with the required tord-discrepancy instance I(0,1) < I(0,0)
 SMALL = {"max_x": 2, "max_y": 1, "max_cols": 1, "max_len": 2}
@@ -41,13 +57,44 @@ def test_split_consistency_reads_a_slack_table_not_code_included(monkeypatch):
     assert [calls[0] for calls in forbidden] == [0, 0]
 
 
-def test_tord_discrepancy_evaluates_each_key_once(monkeypatch):
-    conditions = count_calls(monkeypatch, "diagram_order_condition", modules=(verify,))
+def test_tord_discrepancy_tabulates_each_column_slack_once(monkeypatch):
+    slacks = count_calls(monkeypatch, "_column_slack")
+    conditions = count_calls(monkeypatch, "diagram_order_condition")
     report = verify.run_suite("tord-discrepancy")
     assert report.failed == 0
-    # two readings of each key (dx, dy, four diagrams) with dx, dy >= 0:
-    # 3 * 3 drops times 6**4 diagram quadruples
-    assert conditions[0] <= 2 * 3 * 3 * 6**4 == 23_328
+    # one table per reading: 6 inner diagrams by 6 outer diagrams at 3 shoves;
+    # one condition per pair of ideals would make 70 000 column slacks
+    assert slacks[0] <= 2 * 6**2 * 3 == 216
+    assert conditions[0] == 0
+
+
+def test_acc_measures_each_ideal_once(monkeypatch):
+    measures = count_calls(monkeypatch, "acc_measure")
+    report = verify.run_suite("acc")
+    assert report.failed == 0
+    # one per strict inclusion would make 62 788
+    assert measures[0] == report.details["family"] == 324
+
+
+# every family with x, y <= 3, at most 2 columns of length <= 3 and at most
+# 150 ideals, except those inside the frozen grid (x, y, columns, length <= 2)
+PAST_FROZEN = [
+    bounds
+    for bounds in ((x, y, c, l) for x in range(4) for y in range(4) for c in range(3) for l in range(4))
+    if max(bounds) == 3 and family_size(*bounds, 150) <= 150
+]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(PAST_FROZEN))
+def test_condition_rows_match_pointwise_condition(bounds):
+    family = enumerate_ideals(*bounds)
+    for padded in (True, False):
+        pointwise = [
+            sum(1 << j for j, outer in enumerate(family) if diagram_order_condition(inner, outer, padded))
+            for inner in family
+        ]
+        assert verify._diagram_condition_rows(family, padded) == pointwise
 
 
 def split_consistency_reference(family, rows):
@@ -108,6 +155,39 @@ def tord_discrepancy_reference(family, rows):
     return bad.count, bad.stored, details
 
 
+def acc_reference(family, rows, chains, seed):
+    """The per-pair loop acc replaced: acc_measure per strict inclusion, chains over ideals."""
+    bad = verify._Collector()
+    supersets = {}
+    for i, inner in enumerate(family):
+        supersets[inner] = [family[j] for j in bit_indices(rows[i] & ~(1 << i))]
+        for outer in supersets[inner]:
+            if not acc_measure(outer) < acc_measure(inner):
+                bad.add({
+                    "law": "measure-not-decreasing",
+                    "inner": inner.to_json(), "outer": outer.to_json(),
+                    "inner_measure": list(acc_measure(inner)),
+                    "outer_measure": list(acc_measure(outer)),
+                })
+    rng = random.Random(seed)
+    step_cap = len(family) + 1
+    longest = 0
+    for _ in range(chains):
+        ideal = rng.choice(family)
+        steps = 0
+        while supersets[ideal]:
+            ideal = rng.choice(supersets[ideal])
+            steps += 1
+            if steps > step_cap:
+                bad.add({"law": "chain-did-not-stabilize", "at": ideal.to_json()})
+                break
+        longest = max(longest, steps)
+    details = {"family": len(family), "chains_run": chains, "longest_chain": longest}
+    if bad.count > len(bad.stored):
+        details["counterexamples_truncated"] = True
+    return bad.count, bad.stored, details
+
+
 @pytest.mark.parametrize("inner, outer", [
     # a true inclusion the padded reading misses: the required instance disappears
     (Ideal(0, 1), AUGMENTATION_IDEAL),
@@ -136,6 +216,10 @@ def test_replays_report_exactly_the_injected_fault(monkeypatch, inner, outer):
     failed, stored, details = tord_discrepancy_reference(family, rows)
     assert (report.failed, report.counterexamples, report.details) == (failed, stored, details)
     assert report.passed == 3 * len(family) ** 2 - failed
+
+    report = verify.run_suite("acc", SMALL)
+    expected = acc_reference(family, rows, report.grid["chains"], report.grid["seed"])
+    assert (report.failed, report.counterexamples, report.details) == expected
 
 
 def test_condition_rows_refuse_a_family_out_of_layout():
