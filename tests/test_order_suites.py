@@ -193,7 +193,8 @@ def acc_reference(family, rows, chains, seed):
     (Ideal(0, 1), AUGMENTATION_IDEAL),
     # a true inclusion the padded reading finds: dropping it makes the reading unsound
     (Ideal(0, 0, (2,)), Ideal(0, 0, (1,))),
-    # a false pair the unpadded reading accepts, made true
+    # a false pair the unpadded reading accepts, made true; for acc a measure
+    # that does not drop, and a cycle, so chains stop stabilizing
     (AUGMENTATION_IDEAL, Ideal(0, 0, (1,))),
     # across x and y blocks
     (Ideal(2, 1, (1,), (2,)), Ideal(1, 0, (1,), ())),
