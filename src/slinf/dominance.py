@@ -9,10 +9,13 @@ replay the closed forms against; no default decision route runs it.
 
 A one-step child m of lam has lam_i >= m_i >= lam_{i+1}, so its canonical
 spread m[0] - m[-1] never exceeds lam's.  Spreads only shrink down a chain,
-so the search drops every intermediate narrower in spread than mu: no chain
-through it can end at mu.  This prunes only dead branches and never consults
-a closed form, so a True answer is still witnessed by an explicit chain and
-the suites that replay the oracle still compare two independent routes.
+so no chain through an intermediate narrower in spread than mu can end at
+mu.  The search generates each intermediate's children lazily, with the
+spread of mu as a floor on their first entry, so those dead branches are
+never built, and it stops at the first child that reaches mu.  It prunes
+nothing else and never consults a closed form, so a True answer is still
+witnessed by an explicit chain and the suites that replay the oracle still
+compare two independent routes.
 
 The remaining predicates test HYPOTHESES of closed-form sufficient
 conditions; their conclusion (dominance) is enforced by the verify suites,
@@ -33,12 +36,13 @@ from __future__ import annotations
 from functools import cache
 from typing import Sequence
 
-from .partitions import ShiftClass, ZPartition, _children, as_zpartition, canonicalize
+from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize
 
 
-# The search recurses once per width step, at two interpreter frames a step,
-# so it refuses width gaps past this: about half of the default recursion
-# limit of 1000 frames, which leaves the rest to its callers.
+# The search recurses once per width step, at two interpreter frames a step
+# (the memo's call and _dominates; the children generator is off the stack
+# while they recurse), so it refuses width gaps past this: about half of the
+# default recursion limit of 1000 frames, which leaves the rest to its callers.
 MAX_CHAIN_DEPTH = 240
 
 
@@ -46,16 +50,16 @@ MAX_CHAIN_DEPTH = 240
 def _dominates(top: ShiftClass, target: ShiftClass) -> bool:
     # Both arguments canonical, len(top) >= len(target), top[0] >= target[0].
     # Memoized on the (intermediate, target) pair, so queries against a fixed
-    # target share all intermediate results.  A child never outgrows its
-    # parent's spread, so a child narrower in spread than target has no chain
-    # down to it and is skipped; every child kept satisfies the invariant.
-    # Only dead branches are cut, so a True answer is still a chain found by
-    # search, and no closed form is consulted: this stays the oracle.
+    # target share all intermediate results, and a child yielded twice is
+    # searched once.  A child never outgrows its parent's spread, so a child
+    # narrower in spread than target has no chain down to it and is never
+    # generated; every child generated satisfies the invariant.  Only dead
+    # branches are cut, so a True answer is still a chain found by search,
+    # and no closed form is consulted: this stays the oracle.
     if len(top) == len(target):
         return top == target
-    spread = target[0]
-    for child in _children(top):
-        if child[0] >= spread and _dominates(child, target):
+    for child in _iter_children(top, target[0]):
+        if _dominates(child, target):
             return True
     return False
 
@@ -64,8 +68,8 @@ def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Chain oracle for dominance: search one-step restrictions from lam down to mu.
 
     Intermediates are canonicalized at every step, which keeps the search
-    space finite (entries stay bounded by lam[0] - lam[-1]), and those
-    narrower in spread than mu are pruned.  Shifting either argument does not
+    space finite (entries stay bounded by lam[0] - lam[-1]); those narrower
+    in spread than mu are never generated.  Shifting either argument does not
     change the answer.  A wider mu yields False.  A width gap past
     MAX_CHAIN_DEPTH raises ValueError.
     """

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .dominance import dominates_interlace
-from .partitions import ShiftClass, ZPartition, _children, as_zpartition, canonicalize, enumerate_classes
+from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
 
 
 @dataclass(frozen=True)
@@ -158,7 +158,8 @@ def _closed_on_window(system: LocalSystem, window: LevelWindow, slack: int | Non
         for w in window.widths()
     }
     for w in range(window.n_min + 1, window.n_max + 1):
-        children = {lam: _children(lam) for lam in levels[w]}
+        # through a set, so each frozenset gets a tight table
+        children = {lam: frozenset(set(_iter_children(lam))) for lam in levels[w]}
         if any(lam[0] <= bound and not kids <= levels[w - 1] for lam, kids in children.items()):
             return False
         if slack is None:

@@ -236,7 +236,7 @@ def test_window_checks_refuse_oversized_windows_before_enumerating(capsys, monke
         raise AssertionError("enumeration started")
 
     monkeypatch.setattr("slinf.local_systems.enumerate_classes", forbidden)
-    monkeypatch.setattr("slinf.local_systems._children", forbidden)
+    monkeypatch.setattr("slinf.local_systems._iter_children", forbidden)
     for argv in (
         ["plscheck", "[3,1,0]", "--widths", "3..60", "--bound", "5"],
         ["plscheck", "[1,0]", "--widths", "2..100000000", "--bound", "100000000"],

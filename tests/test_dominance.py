@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -17,7 +18,7 @@ from slinf.dominance import (
     wide_window_hypotheses,
 )
 from slinf.local_systems import avoiding_system_contains
-from slinf.partitions import _children, canonicalize, enumerate_classes, shift
+from slinf.partitions import canonicalize, enumerate_classes, gt_children, shift
 from slinf.verify import run_suite
 
 small_partitions = st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(
@@ -172,10 +173,10 @@ def test_equal_ends_implies_dominance_wide_lambda_grid():
 
 @cache
 def _dominates_unpruned(top, target):
-    # the chain search before spread pruning, kept verbatim as the reference
+    # the chain search before spread pruning, over whole child sets, as the reference
     if len(top) == len(target):
         return top == target
-    return any(_dominates_unpruned(child, target) for child in _children(top))
+    return any(_dominates_unpruned(child, target) for child in gt_children(top))
 
 
 def dominates_reference(lam, mu):
@@ -199,7 +200,7 @@ def pruned_search_space(top, target):
     while todo:
         lam = todo.pop()
         if len(lam) > len(target):
-            fresh = {c for c in _children(lam) if c[0] >= target[0]} - seen
+            fresh = {c for c in gt_children(lam) if c[0] >= target[0]} - seen
             seen |= fresh
             todo.extend(fresh)
     return seen
@@ -251,6 +252,43 @@ def test_oracle_decides_by_chain_search_alone(monkeypatch):
     for lam in classes:
         for mu in classes:
             assert dominates_oracle(lam, mu) == dominates_reference(lam, mu), (lam, mu)
+
+
+def test_oracle_never_materializes_a_child_set(monkeypatch):
+    # the oracle takes children one at a time from the enumerator, above its
+    # spread floor, and builds no whole child set
+    classes = all_classes(5, 3)
+    expected = {(lam, mu): dominates_reference(lam, mu) for lam in classes for mu in classes}
+
+    def forbidden(*args):
+        raise AssertionError("a whole child set was built")
+
+    assert not hasattr(partitions, "_children")
+    for module in [slinf] + [
+        importlib.import_module(f"slinf.{info.name}")
+        for info in pkgutil.iter_modules(slinf.__path__)
+        if info.name != "__main__"
+    ]:
+        if getattr(module, "gt_children", None) is gt_children:
+            monkeypatch.setattr(module, "gt_children", forbidden)
+    dominance._dominates.cache_clear()
+    for (lam, mu), answer in expected.items():
+        assert dominates_oracle(lam, mu) == answer, (lam, mu)
+    report = run_suite("pmain")
+    assert report.checked > 0 and report.failed == 0
+
+
+def test_oracle_memory_stays_flat_in_the_spread():
+    # (10**6, 0, 0) has 10**6 + 1 children, and the only one its floor lets
+    # through is the target
+    dominance._dominates.cache_clear()
+    tracemalloc.start()
+    try:
+        assert dominates_oracle((10**6, 0, 0), (10**6, 0)) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_dominance_suites_validate_each_class_once(monkeypatch):

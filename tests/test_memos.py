@@ -20,5 +20,4 @@ def test_only_the_listed_functions_keep_a_memo():
         "ideals.cls_union",
         "cls_codes.seq_leq_shifted",
         "dominance._dominates",
-        "partitions._children",
     }

@@ -1,10 +1,12 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from slinf.dominance import is_gt_step
+from slinf.dominance import dominates_oracle, is_gt_step
 from slinf.partitions import (
+    _iter_children,
     as_young_diagram,
     as_zpartition,
     canonicalize,
@@ -62,6 +64,27 @@ def test_gt_children_examples():
     assert gt_children((1, 0)) == frozenset({(0,)})
     assert gt_children((2, 0, 0)) == frozenset({(0, 0), (1, 0), (2, 0)})
     assert gt_children((0, 0)) == frozenset({(0,)})
+
+
+def test_iter_children_yields_the_children_above_its_floor():
+    # the floor narrows the generated spans, not a test on each built child
+    for width in range(2, 8):
+        for lam in enumerate_classes(width, 5):
+            children = gt_children(lam)
+            for floor in range(lam[0] + 2):
+                got = list(_iter_children(lam, floor))
+                assert set(got) == {c for c in children if c[0] >= floor}, (lam, floor)
+                assert all(len(c) == width - 1 and is_canonical(c) for c in got), (lam, floor)
+
+
+def test_width_two_child_is_yielded_once():
+    # every shift of a width-2 class gives the same child; it used to be
+    # built once per shift, lam[0] + 1 times
+    assert list(_iter_children((10**9, 0))) == [(0,)]
+    start = time.perf_counter()
+    assert gt_children((10**9, 0)) == {(0,)}
+    assert dominates_oracle((10**8, 0), (0,)) is True
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gt_children_rejects_width_one():
