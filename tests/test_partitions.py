@@ -78,8 +78,8 @@ def test_iter_children_yields_the_children_above_its_floor():
 
 
 def test_width_two_child_is_yielded_once():
-    # every shift of a width-2 class gives the same child; it used to be
-    # built once per shift, lam[0] + 1 times
+    # every shift d of a width-2 class gives the same child, so it is
+    # yielded once, not lam[0] + 1 times
     assert list(_iter_children((10**9, 0))) == [(0,)]
     start = time.perf_counter()
     assert gt_children((10**9, 0)) == {(0,)}
