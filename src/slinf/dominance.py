@@ -12,10 +12,11 @@ spread m[0] - m[-1] never exceeds lam's.  Spreads only shrink down a chain,
 so no chain through an intermediate narrower in spread than mu can end at
 mu.  The search generates each intermediate's children lazily, with the
 spread of mu as a floor on their first entry, so those dead branches are
-never built, and it stops at the first child that reaches mu.  It prunes
-nothing else and never consults a closed form, so a True answer is still
-witnessed by an explicit chain and the suites that replay the oracle still
-compare two independent routes.
+never built.  It tries the first child before starting the enumerator,
+which answers most searches without one, and stops at the first child that
+reaches mu.  It prunes nothing else and never consults a closed form, so a
+True answer is still witnessed by an explicit chain and the suites that
+replay the oracle still compare two independent routes.
 
 The remaining predicates test HYPOTHESES of closed-form sufficient
 conditions; their conclusion (dominance) is enforced by the verify suites,
@@ -36,13 +37,14 @@ from __future__ import annotations
 from functools import cache
 from typing import Sequence
 
-from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize
+from .partitions import ShiftClass, ZPartition, _first_child, _iter_children, as_zpartition, canonicalize
 
 
 # The search recurses once per width step, at two interpreter frames a step
-# (the memo's call and _dominates; the children generator is off the stack
-# while they recurse), so it refuses width gaps past this: about half of the
-# default recursion limit of 1000 frames, which leaves the rest to its callers.
+# (the memo's call and _dominates, from the first-child probe or from the
+# loop; the children generator is off the stack while they recurse), so it
+# refuses width gaps past this: about half of the default recursion limit of
+# 1000 frames, which leaves the rest to its callers.
 MAX_CHAIN_DEPTH = 240
 
 
@@ -53,11 +55,20 @@ def _dominates(top: ShiftClass, target: ShiftClass) -> bool:
     # target share all intermediate results, and a child yielded twice is
     # searched once.  A child never outgrows its parent's spread, so a child
     # narrower in spread than target has no chain down to it and is never
-    # generated; every child generated satisfies the invariant.  Only dead
-    # branches are cut, so a True answer is still a chain found by search,
-    # and no closed form is consulted: this stays the oracle.
+    # generated; every child generated satisfies the invariant.  The
+    # enumerator's first child is tried before the generator starts, and it
+    # is almost always memoized already, because the suites search narrower
+    # targets first; the generator yields it again as one memo hit, so the
+    # order and the memoized pairs are those of the enumerator alone.  Only
+    # dead branches are cut, so a True answer is still a chain found by
+    # search, and no closed form is consulted: this stays the oracle.
     if len(top) == len(target):
         return top == target
+    first = _first_child(top, target[0])
+    if first is None:
+        return False
+    if _dominates(first, target):
+        return True
     for child in _iter_children(top, target[0]):
         if _dominates(child, target):
             return True
@@ -136,11 +147,11 @@ def _gap_criterion(mu: ZPartition, lam: ZPartition) -> bool:
         raise ValueError(f"need #mu >= #lam, got {len(mu)} < {len(lam)}")
     off = len(mu) - len(lam)
     n = len(lam)
-    return all(
-        mu[k] - mu[off + l] >= lam[k] - lam[l]
-        for k in range(n)
-        for l in range(k + 1, n)
-    )
+    for k in range(n):
+        for l in range(k + 1, n):
+            if mu[k] - mu[off + l] < lam[k] - lam[l]:
+                return False
+    return True
 
 
 def equal_ends_hypotheses(lam: Sequence[int], mu: Sequence[int]) -> bool:

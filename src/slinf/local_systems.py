@@ -112,11 +112,11 @@ def _gap_union(lam: ZPartition, mu: ZPartition) -> bool:
     off = len(mu) - n
     if off < 0:
         return True
-    return any(
-        mu[k] - mu[off + l] < lam[k] - lam[l]
-        for k in range(n)
-        for l in range(k + 1, n)
-    )
+    for k in range(n):
+        for l in range(k + 1, n):
+            if mu[k] - mu[off + l] < lam[k] - lam[l]:
+                return True
+    return False
 
 
 def gap_union_system(lam: Sequence[int]) -> LocalSystem:

@@ -109,6 +109,8 @@ def _iter_children(lam: ShiftClass, floor: int = 0) -> Iterator[ShiftClass]:
     # targets through about 6 % fewer intermediates than the other way.  A
     # class can come up under two shifts d (under 0.1 % of the yields at
     # widths 3-10), so a caller that needs each child once collects a set.
+    # _first_child mirrors the first yield without starting the generator;
+    # tests/test_partitions.py pins the two together.
     if len(lam) == 2:  # every shift d gives the one width-1 class
         if floor <= 0:
             yield (0,)
@@ -117,6 +119,18 @@ def _iter_children(lam: ShiftClass, floor: int = 0) -> Iterator[ShiftClass]:
         first = range(max(lam[1] - d, floor), lam[0] - d + 1)
         spans = [range(lam[i + 1] - d, lam[i] - d + 1) for i in range(1, len(lam) - 2)]
         yield from product(first, *spans, (0,))
+
+
+def _first_child(lam: ShiftClass, floor: int) -> ShiftClass | None:
+    # next(_iter_children(lam, floor), None) as one tuple: the lowest corner
+    # of the largest shift's spans, or None when no shift leaves the first
+    # span nonempty.
+    if len(lam) == 2:
+        return (0,) if floor <= 0 else None
+    d = min(lam[-2], lam[0] - floor)
+    if d < 0:
+        return None
+    return (max(lam[1] - d, floor), *(v - d for v in lam[2:-1]), 0)
 
 
 def gt_children(lam: Sequence[int]) -> frozenset[ShiftClass]:

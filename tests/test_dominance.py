@@ -18,7 +18,7 @@ from slinf.dominance import (
     wide_window_hypotheses,
 )
 from slinf.local_systems import avoiding_system_contains
-from slinf.partitions import canonicalize, enumerate_classes, gt_children, shift
+from slinf.partitions import _iter_children, canonicalize, enumerate_classes, gt_children, shift
 from slinf.verify import run_suite
 
 small_partitions = st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(
@@ -179,6 +179,18 @@ def _dominates_unpruned(top, target):
     return any(_dominates_unpruned(child, target) for child in gt_children(top))
 
 
+@cache
+def _dominates_by_enumerator(top, target):
+    # the pruned search with no first-child probe: the enumerator alone, in
+    # its order, as the reference for the memo the probe leaves behind
+    if len(top) == len(target):
+        return top == target
+    for child in _iter_children(top, target[0]):
+        if _dominates_by_enumerator(child, target):
+            return True
+    return False
+
+
 def dominates_reference(lam, mu):
     top, target = canonicalize(lam), canonicalize(mu)
     return len(top) >= len(target) and _dominates_unpruned(top, target)
@@ -284,6 +296,35 @@ def test_oracle_memory_stays_flat_in_the_spread():
     tracemalloc.start()
     try:
         assert dominates_oracle((10**6, 0, 0), (10**6, 0)) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_first_child_probe_keeps_the_search_space():
+    # probing the first child before starting the enumerator changes neither
+    # the answer nor the (intermediate, target) pairs a cold search memoizes
+    classes = all_classes(6, 4)
+    for lam in classes:
+        for mu in classes:
+            if len(lam) < len(mu) or lam[0] < mu[0]:
+                continue  # _chain_oracle answers these before any search
+            dominance._dominates.cache_clear()
+            _dominates_by_enumerator.cache_clear()
+            answer = dominates_oracle(lam, mu)
+            assert answer == _dominates_by_enumerator(lam, mu), (lam, mu)
+            assert (dominance._dominates.cache_info().currsize
+                    == _dominates_by_enumerator.cache_info().currsize), (lam, mu)
+
+
+def test_oracle_memory_stays_flat_in_the_first_span():
+    # the first child of (10**6, 0, 0) under the floor 5 is the target, so
+    # the search answers before the enumerator builds its 10**6 - 4 values
+    dominance._dominates.cache_clear()
+    tracemalloc.start()
+    try:
+        assert dominates_oracle((10**6, 0, 0), (5, 0)) is True
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

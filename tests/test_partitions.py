@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from slinf.dominance import dominates_oracle, is_gt_step
 from slinf.partitions import (
+    _first_child,
     _iter_children,
     as_young_diagram,
     as_zpartition,
@@ -75,6 +76,15 @@ def test_iter_children_yields_the_children_above_its_floor():
                 got = list(_iter_children(lam, floor))
                 assert set(got) == {c for c in children if c[0] >= floor}, (lam, floor)
                 assert all(len(c) == width - 1 and is_canonical(c) for c in got), (lam, floor)
+
+
+def test_first_child_is_the_enumerators_first_yield():
+    # the chain oracle probes _first_child before it starts the enumerator,
+    # so the probe must be exactly the first yield, or None when there is none
+    for width in range(2, 9):
+        for lam in enumerate_classes(width, 5):
+            for floor in range(lam[0] + 2):
+                assert _first_child(lam, floor) == next(_iter_children(lam, floor), None), (lam, floor)
 
 
 def test_width_two_child_is_yielded_once():
