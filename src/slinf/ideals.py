@@ -5,20 +5,20 @@ x symmetric-algebra factors, y exterior-algebra factors, and two Young
 diagrams.  Distinct tuples name distinct ideals, so equality is structural;
 the zero ideal is carried along as the bottom element of the order.
 
-Inclusion between nonzero ideals is decided exclusively through their
-sequence codes (one code per split c + d = x) and the code inclusion order --
-the route that reproduces the maximality and ascending-chain corollaries.
-A single ideal pair compares the outer ideal's (x, 0) split with the inner
-ideal's codes (``is_contained``), and an upset does the same for every
-candidate at once (``containing_ideals``); a whole family is decided on the
-full code unions (``inclusion_rows``), and the ``split-consistency`` suite
+Inclusion between nonzero ideals is the order of their sequence codes (one
+code per split c + d = x) -- the route that reproduces the maximality and
+ascending-chain corollaries.  A single ideal pair compares the outer ideal's
+(x, 0) split with the inner ideal's codes, reading the code slacks directly
+from the diagram columns (``is_contained``); an upset compares codes for
+every candidate at once (``containing_ideals``); a whole family is decided on
+the full code unions (``inclusion_rows``), and the ``split-consistency`` suite
 replays one route against the other.  Every route rests on one slack form:
 a split a + b = d fits under two slacks s_p, s_q iff s_p >= 0, s_q >= 0 and
 s_p + s_q >= d (``code_included``).  A direct closed-form condition on the
 diagram columns exists in the literature but disagrees with those corollaries
-as printed; it is kept here (``diagram_order_condition``, decided by the same
-slack form on column slacks) purely so the ``tord-discrepancy`` verify suite
-can report the disagreement, and is never used for decisions.
+as printed; it is kept here (``diagram_order_condition``, is_contained's
+column form without the shift by dy) purely so the ``tord-discrepancy``
+verify suite can report the disagreement, and is never used for decisions.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .cls_codes import (
     _order_rows,
     _split_fits,
     bit_indices,
-    code_included,
     or_of_rows,
     seq_slack,
 )
@@ -140,7 +139,7 @@ def cls_union(ideal: Ideal) -> frozenset[ClsCode]:
 
 
 def is_contained(inner: Ideal, outer: Ideal) -> bool:
-    """Ideal inclusion inner <= outer, decided through the codes.
+    """Ideal inclusion inner <= outer, decided on the code slacks read from the columns.
 
     The zero ideal sits below everything and above nothing else.  For two
     nonzero ideals the inclusion reverses on codes: the smaller ideal
@@ -152,15 +151,23 @@ def is_contained(inner: Ideal, outer: Ideal) -> bool:
     left half to the right half.  Adding the same number of leading
     infinities to both sides of a comparison leaves seq_slack unchanged, so
     if the (x, 0) split is included in inner's split c0 (which needs
-    c0 >= x), then split c is included in inner's split c0 - (x - c).  The
-    ``split-consistency`` suite replays this against the full unions.
+    c0 >= x), then split c is included in inner's split c0 - (x - c).
+
+    No code is built: the slacks are read off the columns.  With
+    dx = inner.x - outer.x, dy = inner.y - outer.y and s = c0 - outer.x in
+    0..dx, seq_slack of the p halves is exactly
+    dy + _column_slack(inner.yl, outer.yl, s, padded=True), and of the q
+    halves the same with the right diagrams and shove dx - s.  Past outer's
+    infinities both heads are y plus a column, read from the same position
+    on, and seq_slack pads both heads with their tails (y plus a zero
+    column); the padded column reading pads with zeros, and the positions
+    it reads beyond seq_slack's compare 0 with 0.  The test is then
+    code_included's slack criterion (_split_fits).  ``inclusion_rows`` and
+    ``containing_ideals`` decide the same order on the codes themselves.
     """
-    if inner.zero:
-        return True
-    if outer.zero:
-        return False
-    single = split_code(outer, outer.x)
-    return any(code_included(single, code) for code in cls_union(inner))
+    if inner.zero or outer.zero:
+        return inner.zero
+    return _columns_fit(inner, outer, inner.y - outer.y, True)
 
 
 def inclusion_rows(ideals: Sequence[Ideal]) -> list[int]:
@@ -216,30 +223,44 @@ def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> 
     l_i - l'_{i+c} over the quantified i (+inf when there is none), and the
     right ones when b <= sR(d), likewise.  So the condition holds iff some
     c + d = dx has a split of dy under the slacks: sL(c) >= 0, sR(d) >= 0
-    and sL(c) + sR(d) >= dy (_some_split_fits).  A column slack reads only
-    two diagrams, a shove and the reading, so this takes 2(dx + 1) minima
-    per pair, where the split search it replaces tried up to
+    and sL(c) + sR(d) >= dy (_columns_fit).  A column slack reads only
+    two diagrams, a shove and the reading, so this takes at most 2(dx + 1)
+    minima per pair, where the split search it replaces tried up to
     (dx + 1)(dy + 1) pairs of splits; a whole family takes them from one
     table per reading instead (``verify._diagram_condition_rows``).
 
     With padded=True the inequalities are required at every index, columns
     being zero beyond their diagrams; the last padded index then gives a
     slack of at most 0, which forces a = b = 0, so the test rejects every
-    inclusion where y strictly drops -- the disagreement the
-    ``tord-discrepancy`` suite reports.  With padded=False they are required
-    only at the inner ideal's actual column indices, which instead
-    over-accepts when the inner diagrams are short.  Documentation only:
-    decisions always use ``is_contained``.
+    inclusion where y strictly drops.  ``is_contained`` is this padded form
+    with both slacks shifted by dy (every code entry carries y), and that
+    missing shift is the disagreement the ``tord-discrepancy`` suite
+    reports.  With padded=False the inequalities are required only at the
+    inner ideal's actual column indices, which instead over-accepts when the
+    inner diagrams are short.  Documentation only: decisions always use
+    ``is_contained``.
     """
     if inner.zero or outer.zero:
         raise ValueError("the diagram condition is defined for nonzero ideals only")
+    return _columns_fit(inner, outer, 0, padded)
+
+
+def _columns_fit(inner: Ideal, outer: Ideal, shift: int, padded: bool) -> bool:
+    """Whether dx, dy >= 0 and some c + d = dx has _split_fits(dy, shift + sL(c), shift + sR(d)).
+
+    sL and sR are the column slacks of diagram_order_condition.  With
+    shift = dy and padded=True they are is_contained's code slacks.
+    """
     dx = inner.x - outer.x
     dy = inner.y - outer.y
     if dx < 0 or dy < 0:
         return False
-    left = [_column_slack(inner.yl, outer.yl, c, padded) for c in range(dx + 1)]
-    right = [_column_slack(inner.yr, outer.yr, d, padded) for d in range(dx + 1)]
-    return _some_split_fits(dx, dy, left, right)
+    for c in range(dx + 1):
+        s_p = shift + _column_slack(inner.yl, outer.yl, c, padded)
+        # a left half that fails already decides, so its right slack is not computed
+        if s_p >= 0 and _split_fits(dy, s_p, shift + _column_slack(inner.yr, outer.yr, dx - c, padded)):
+            return True
+    return False
 
 
 def _some_split_fits(dx: int, dy: int, left, right) -> bool:
@@ -468,7 +489,8 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     covered[c0][max(0, d - s_p)] over the codes with s_p >= 0.  Only the
     splits c0 >= x' are tried, since s_p is -inf when the left half has
     more infinities than k.p.  The set bits are exactly the R with
-    is_contained(ideal, J), which stays the pointwise route.
+    is_contained(ideal, J), which reaches the same order by column slacks
+    instead of code slacks, so the pointwise test compares two routes.
     """
     if ideal.zero:
         raise ValueError("the upset of the zero ideal is the whole lattice; enumerate a family instead")

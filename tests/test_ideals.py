@@ -1,11 +1,16 @@
+import importlib
+import pkgutil
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slinf.cls_codes import ClsCode, ExtSequence
+import slinf
+from slinf.cls_codes import ClsCode, ExtSequence, code_included, seq_slack
 from slinf.ideals import (
     AUGMENTATION_IDEAL,
     ZERO_IDEAL,
     Ideal,
+    _column_slack,
     acc_measure,
     cls_union,
     code_sequence,
@@ -18,8 +23,10 @@ from slinf.ideals import (
     is_contained,
     is_maximal,
     make_weight,
+    split_code,
 )
 from slinf.partitions import YoungDiagram
+from slinf.verify import run_suite
 
 
 def test_code_sequence_examples():
@@ -310,6 +317,63 @@ def test_inclusion_rows_match_pointwise_inclusion(family, data):
         sum(1 << j for j, outer in enumerate(family) if is_contained(inner, outer))
         for inner in family
     ]
+
+
+FROZEN_FAMILY = [ZERO_IDEAL] + enumerate_ideals(2, 2, 2, 2)
+
+
+def test_is_contained_equals_inclusion_rows_on_the_frozen_family():
+    # inclusion_rows decides on the full code unions, is_contained on column
+    # slacks: every pair of the frozen family, the zero ideal included
+    rows = inclusion_rows(FROZEN_FAMILY)
+    for inner, row in zip(FROZEN_FAMILY, rows):
+        assert row == sum(1 << j for j, outer in enumerate(FROZEN_FAMILY) if is_contained(inner, outer)), inner
+
+
+@given(ideals.filter(lambda ideal: not ideal.zero), st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_code_slacks_read_from_the_columns(outer, data):
+    # the identity is_contained rests on, for every split c0 of inner that
+    # can hold outer's (x, 0) split, with dy of either sign
+    inner = Ideal(
+        data.draw(st.integers(outer.x, 5)),
+        data.draw(st.integers(0, 3)),
+        data.draw(st.sampled_from(enumerate_diagrams(3, 3))),
+        data.draw(st.sampled_from(enumerate_diagrams(3, 3))),
+    )
+    single = split_code(outer, outer.x)
+    dy = inner.y - outer.y
+    for c0 in range(outer.x, inner.x + 1):
+        code = split_code(inner, c0)
+        assert seq_slack(single.p, code.p) == dy + _column_slack(inner.yl, outer.yl, c0 - outer.x, padded=True)
+        assert seq_slack(single.q, code.q) == dy + _column_slack(inner.yr, outer.yr, inner.x - c0, padded=True)
+
+
+def test_is_contained_builds_no_code(monkeypatch):
+    # is_contained reads its slacks from the columns and builds no code
+    expected = {
+        (inner, outer): bool(row >> j & 1)
+        for inner, row in zip(FROZEN_FAMILY, inclusion_rows(FROZEN_FAMILY))
+        for j, outer in enumerate(FROZEN_FAMILY)
+    }
+    builders = {"split_code": split_code, "code_sequence": code_sequence, "cls_union": cls_union,
+                "code_included": code_included}
+
+    def forbidden(*args):
+        raise AssertionError("a code was built")
+
+    for module in [slinf] + [
+        importlib.import_module(f"slinf.{info.name}")
+        for info in pkgutil.iter_modules(slinf.__path__)
+        if info.name != "__main__"
+    ]:
+        for name, builder in builders.items():
+            if getattr(module, name, None) is builder:
+                monkeypatch.setattr(module, name, forbidden)
+    for (inner, outer), answer in expected.items():
+        assert is_contained(inner, outer) == answer, (inner, outer)
+    report = run_suite("maximal")
+    assert report.checked > 0 and report.failed == 0
 
 
 def upset_candidates(ideal, width_cap):
