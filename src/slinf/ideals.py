@@ -139,31 +139,25 @@ def cls_union(ideal: Ideal) -> frozenset[ClsCode]:
 
 
 def is_contained(inner: Ideal, outer: Ideal) -> bool:
-    """Ideal inclusion inner <= outer, decided on the code slacks read from the columns.
+    """Ideal inclusion inner <= outer, decided on code slacks read from the columns.
 
     The zero ideal sits below everything and above nothing else.  For two
     nonzero ideals the inclusion reverses on codes: the smaller ideal
     annihilates more, so inner <= outer iff every code of *outer* is
-    included in some code of *inner*.
+    included in some code of *inner*.  Comparing outer's (x, 0) split alone
+    is exact: split c of outer is that split with x - c leading infinities
+    moved from the left half to the right, and moving as many in inner's
+    code leaves both seq_slacks unchanged.
 
-    Only the (x, 0) split of outer is compared, which is exact.  Split c of
-    outer is the (x, 0) split with x - c leading infinities moved from the
-    left half to the right half.  Adding the same number of leading
-    infinities to both sides of a comparison leaves seq_slack unchanged, so
-    if the (x, 0) split is included in inner's split c0 (which needs
-    c0 >= x), then split c is included in inner's split c0 - (x - c).
-
-    No code is built: the slacks are read off the columns.  With
-    dx = inner.x - outer.x, dy = inner.y - outer.y and s = c0 - outer.x in
-    0..dx, seq_slack of the p halves is exactly
+    No code is built.  With dx = inner.x - outer.x, dy = inner.y - outer.y
+    and inner's split c0 = outer.x + s, s in 0..dx (fewer left infinities
+    give -inf), seq_slack of the p halves is exactly
     dy + _column_slack(inner.yl, outer.yl, s, padded=True), and of the q
     halves the same with the right diagrams and shove dx - s.  Past outer's
-    infinities both heads are y plus a column, read from the same position
-    on, and seq_slack pads both heads with their tails (y plus a zero
-    column); the padded column reading pads with zeros, and the positions
-    it reads beyond seq_slack's compare 0 with 0.  The test is then
-    code_included's slack criterion (_split_fits).  ``inclusion_rows`` and
-    ``containing_ideals`` decide the same order on the codes themselves.
+    infinities both heads are y plus a column, and seq_slack pads both with
+    their tails, y plus a zero column; the padded column reading pads with
+    zeros, and the positions it reads beyond seq_slack's compare 0 with 0.
+    So this is code_included's slack criterion on those slacks.
     """
     if inner.zero or outer.zero:
         return inner.zero
