@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import compress
 from operator import or_, sub
 
@@ -121,13 +121,12 @@ class ClsCode:
         return cls(ExtSequence.from_json(obj["p"]), ExtSequence.from_json(obj["q"]))
 
 
-@lru_cache(maxsize=None)
 def seq_leq_shifted(inner: ExtSequence, outer: ExtSequence, a: int) -> bool:
     """Pointwise inner_i <= outer_i - a at every position, with inf - a = inf.
 
     Anything is <= infinity; infinity is <= nothing finite.  Decided on the
     finite index range covering both explicit parts plus one tail position.
-    Antitone in a: once true for a, true for every smaller shift.
+    Antitone in a: once true for a, true for every smaller shift.  Not memoized.
     """
     if a < 0:
         raise ValueError("the shift a must be >= 0")
@@ -178,12 +177,7 @@ def code_included(inner: ClsCode, outer: ClsCode) -> bool:
 
 
 def _split_fits(d, slack_p, slack_q) -> bool:
-    """The slack criterion: is there a split a + b = d with 0 <= a <= slack_p and 0 <= b <= slack_q?
-
-    The admissible a form the interval [max(0, d - slack_q), min(d, slack_p)],
-    which is nonempty iff d >= 0, slack_p >= 0, slack_q >= 0 and
-    slack_p + slack_q >= d.  A slack may be +inf or -inf.
-    """
+    """Is there a split a + b = d with 0 <= a <= slack_p and 0 <= b <= slack_q?  A slack may be +-inf."""
     return slack_p >= 0 and slack_q >= 0 and 0 <= d <= slack_p + slack_q
 
 
@@ -192,16 +186,33 @@ def code_included_oracle(inner: ClsCode, outer: ClsCode) -> bool:
 
     True iff the limits satisfy m' <= m and, for some split a + b = m - m'
     with a, b >= 0, both halves compare pointwise:
-    inner.p <= outer.p - a and inner.q <= outer.q - b.  The a-search runs
-    over the finite range 0..(m - m').  Insensitive to normalization.
+    inner.p <= outer.p - a and inner.q <= outer.q - b.  Searched as one AND
+    over every split (_shift_masks).  Insensitive to normalization.
     """
-    d = outer.limit - inner.limit
-    if d < 0:
-        return False
-    return any(
-        seq_leq_shifted(inner.p, outer.p, a) and seq_leq_shifted(inner.q, outer.q, d - a)
-        for a in range(d + 1)
-    )
+    return bool(_shift_masks(inner.p, outer.p)[0] & _shift_masks(inner.q, outer.q)[1])
+
+
+def _shift_masks(inner: ExtSequence, outer: ExtSequence) -> tuple[int, int]:
+    """The shifts a in 0..d with seq_leq_shifted(inner, outer, a), as bit a of one mask and bit d - a of another.
+
+    d = outer.tail - inner.tail; both masks are 0 when d < 0.  Each shift is
+    tested pointwise, with no antitonicity and no slack, so the oracle
+    stays an independent reference.
+    """
+    d = outer.tail - inner.tail
+    fits = [a for a in range(d + 1) if seq_leq_shifted(inner, outer, a)]
+    return sum(1 << a for a in fits), sum(1 << (d - a) for a in fits)
+
+
+def _intern(index: dict, code: ClsCode) -> tuple[int, int, int]:
+    """(limit, p, q) of a code, each half numbered by index, which interns it on first sight."""
+    return code.limit, index.setdefault(code.p, len(index)), index.setdefault(code.q, len(index))
+
+
+def _pair_table(fn, index: dict) -> list[list]:
+    """fn over every ordered pair of the sequences interned in index: table[a][b] = fn(seqs[a], seqs[b])."""
+    seqs = list(index)
+    return [[fn(a, b) for b in seqs] for a in seqs]
 
 
 def code_rows(codes) -> list[int]:
@@ -234,18 +245,14 @@ def _order_rows(codes, down: bool) -> list[int]:
     difference taken the other way round.
     """
     index: dict[ExtSequence, int] = {}
-    keys = [(index.setdefault(c.p, len(index)), index.setdefault(c.q, len(index))) for c in codes]
+    keys = [_intern(index, c)[1:] for c in codes]
     seqs = list(index)
     has_p, has_q = [0] * len(seqs), [0] * len(seqs)
     for j, (p, q) in enumerate(keys):
         has_p[p] |= 1 << j
         has_q[q] |= 1 << j
-    if down:
-        slack = [[seq_slack(b, a) for b in seqs] for a in seqs]
-        sign = -1
-    else:
-        slack = [[seq_slack(a, b) for b in seqs] for a in seqs]
-        sign = 1
+    slack = _pair_table((lambda a, b: seq_slack(b, a)) if down else seq_slack, index)
+    sign = -1 if down else 1
     at_q: dict[int, dict] = {}
     for q in {q for _, q in keys}:
         at = at_q[q] = {}

@@ -24,7 +24,6 @@ verify suite can report the disagreement, and is never used for decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations_with_replacement
 from operator import sub
 from typing import Mapping, Sequence
@@ -129,11 +128,10 @@ def split_code(ideal: Ideal, c: int) -> ClsCode:
     return ClsCode(code_sequence(c, ideal.y, ideal.yl), code_sequence(ideal.x - c, ideal.y, ideal.yr))
 
 
-@cache
 def cls_union(ideal: Ideal) -> frozenset[ClsCode]:
     """The codes of a nonzero ideal: one per split c + d = x (x + 1 in all).
 
-    The zero ideal has no code in this encoding and is rejected.
+    The zero ideal has no code in this encoding and is rejected.  Not memoized.
     """
     return frozenset(split_code(ideal, c) for c in range(ideal.x + 1))
 

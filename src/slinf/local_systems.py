@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dominance import dominates_interlace
+from .dominance import _gap_criterion, dominates_interlace
 from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
 
 
@@ -105,18 +105,11 @@ def gap_union_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
 
 
 def _gap_union(lam: ZPartition, mu: ZPartition) -> bool:
-    # gap_union_contains on validated partitions
+    # gap_union_contains on validated partitions: a pair k < l admits mu
+    # exactly where the gap criterion fails on it
     if len(lam) < 2:
         raise ValueError("the gap union needs a partition of width >= 2")
-    n = len(lam)
-    off = len(mu) - n
-    if off < 0:
-        return True
-    for k in range(n):
-        for l in range(k + 1, n):
-            if mu[k] - mu[off + l] < lam[k] - lam[l]:
-                return True
-    return False
+    return len(mu) < len(lam) or not _gap_criterion(mu, lam)
 
 
 def gap_union_system(lam: Sequence[int]) -> LocalSystem:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations_with_replacement, compress, product
@@ -21,9 +22,11 @@ from pathlib import Path
 from .cls_codes import (
     ClsCode,
     ExtSequence,
+    _intern,
+    _pair_table,
+    _shift_masks,
     _split_fits,
     bit_indices,
-    code_included_oracle,
     code_rows,
     or_of_rows,
     seq_slack,
@@ -312,17 +315,6 @@ def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -
     return containment_checks
 
 
-def _intern(index: dict, code: ClsCode) -> tuple[int, int, int]:
-    """(limit, p, q) of a code, each half numbered by index, which interns it on first sight."""
-    return code.limit, index.setdefault(code.p, len(index)), index.setdefault(code.q, len(index))
-
-
-def _slack_table(index: dict) -> list[list]:
-    """seq_slack over every ordered pair of the interned sequences: slack[a][b] = seq_slack(a, b)."""
-    seqs = list(index)
-    return [[seq_slack(a, b) for b in seqs] for a in seqs]
-
-
 def _code_grid(grid: dict) -> tuple[list[ExtSequence], list[ClsCode]]:
     """The grid's sequences and every code built from two of them, in canonical order."""
     seqs = []
@@ -349,21 +341,30 @@ def _suite_tiap_order(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _suite_code_slack(grid: dict, ceiling: int) -> VerifyReport:
+    """code_included's slack criterion, code_rows and the split search, on tables over the interned sequences.
+
+    The split search ANDs the oracle's _shift_masks, t - s + 1 pointwise tests
+    per pair of tails s <= t; the guard sums them with running totals by tail.
+    """
     seqs, codes = _code_grid(grid)
     n = len(codes)
-    _guard(n * n, ceiling, "code-slack")
+    tails = Counter(seq.tail for seq in seqs)
+    below = weighted = shifts = 0
+    for t in sorted(tails):
+        below, weighted = below + tails[t], weighted + t * tails[t]
+        shifts += tails[t] * ((t + 1) * below - weighted)
+    _guard(max(n * n, shifts), ceiling, "code-slack")
     bad = _Collector()
-    # the slack form: code_included's criterion on one table of slacks over
-    # the interned sequences, not a seq_slack pair per pair of codes
     index: dict[ExtSequence, int] = {}
     keys = [_intern(index, code) for code in codes]
-    table = _slack_table(index)
+    slacks = _pair_table(seq_slack, index)
+    masks = _pair_table(_shift_masks, index)
     for inner, (limit, p, q), row in zip(codes, keys, code_rows(codes)):
-        slack_p, slack_q = table[p], table[q]
+        slack_p, slack_q, masks_p, masks_q = slacks[p], slacks[q], masks[p], masks[q]
         for j, (outer, (m, pj, qj)) in enumerate(zip(codes, keys)):
             slack = _split_fits(m - limit, slack_p[pj], slack_q[qj])
             in_rows = bool((row >> j) & 1)
-            oracle = code_included_oracle(inner, outer)
+            oracle = bool(masks_p[pj][0] & masks_q[qj][1])
             if not slack == in_rows == oracle:
                 bad.add({
                     "inner": inner.to_json(), "outer": outer.to_json(),
@@ -475,7 +476,7 @@ def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     singles = [_intern(index, split_code(outer, outer.x)) for outer in family]
     unions = [[_intern(index, code) for code in cls_union(inner)] for inner in family]
     # under[b][a] = seq_slack(a, b): the slack of every sequence a below b
-    under = list(zip(*_slack_table(index)))
+    under = _pair_table(lambda b, a: seq_slack(a, b), index)
     for inner, row, union in zip(family, rows, unions):
         # one list per code of inner over every outer single, and one any per single
         fits = []

@@ -206,6 +206,34 @@ def test_seq_slack_is_the_largest_admissible_shift(inner, outer):
         assert seq_leq_shifted(inner, outer, a) == (a <= slack)
 
 
+def split_search(inner: ClsCode, outer: ClsCode) -> bool:
+    """The definition of the code order: some split a + b = d of the limit difference fits both halves."""
+    d = outer.limit - inner.limit
+    return any(
+        seq_leq_shifted(inner.p, outer.p, a) and seq_leq_shifted(inner.q, outer.q, d - a)
+        for a in range(d + 1)
+    )
+
+
+def _sequences_above(tail):
+    # heads reach 8 above the tail, so a half fits some shifts of a long split and fails others
+    return st.builds(
+        lambda inf, raw: ExtSequence(inf, tuple(sorted((v + tail for v in raw), reverse=True)), tail),
+        st.integers(0, 2),
+        st.lists(st.integers(0, 8), max_size=3),
+    )
+
+
+# limits 0..12 on either side, so d runs from -12 to 12
+limited_codes = st.integers(0, 12).flatmap(lambda m: st.builds(ClsCode, _sequences_above(m), _sequences_above(m)))
+
+
+@given(limited_codes, limited_codes)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_code_included_oracle_is_the_split_search(inner, outer):
+    assert code_included_oracle(inner, outer) == split_search(inner, outer)
+
+
 # limits 0..3 and heads up to 5 mixed in one list, so the rows and their
 # transpose meet every limit difference 0..3 and every deficit 0..5
 @given(st.integers(0, 30).flatmap(lambda n: st.lists(wide_codes, min_size=n, max_size=n)))

@@ -16,8 +16,4 @@ def test_only_the_listed_functions_keep_a_memo():
             for name, value in vars(module).items()
             if hasattr(value, "cache_info") and value.__module__ == module.__name__
         }
-    assert memos == {
-        "ideals.cls_union",
-        "cls_codes.seq_leq_shifted",
-        "dominance._dominates",
-    }
+    assert memos == {"dominance._dominates"}

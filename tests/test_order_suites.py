@@ -1,22 +1,25 @@
-"""The split-consistency, tord-discrepancy and acc replays: what they call, and what they report on faulty rows.
+"""The code-slack, split-consistency, tord-discrepancy and acc replays: their calls, and their reports on faults.
 
 The suites take every per-pair input from a table built once per run:
-split-consistency from one seq_slack table over the interned sequences,
+code-slack from one seq_slack table and one table of shift masks over the
+interned sequences, split-consistency from one seq_slack table,
 tord-discrepancy from one table of column slacks per reading (inner
 diagram by outer diagram by shove), acc from one measure per ideal.
 These tests pin those call counts on the frozen grid, check the condition
-rows against the pointwise condition past it, and flip one bit of
-inclusion_rows to check that each suite still reports exactly the faults
-its pointwise definition predicts, with the same counterexamples.
+rows against the pointwise condition past it, and inject faults (bits of
+code_rows or inclusion_rows, one pointwise shift test) to check that each
+suite still reports exactly the faults its pointwise definition predicts,
+with the same counterexamples.
 """
 
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from slinf import cls_codes, ideals, verify
-from slinf.cls_codes import bit_indices, union_included
+from slinf.cls_codes import ExtSequence, bit_indices, code_included, code_rows, union_included
 from slinf.ideals import (
     AUGMENTATION_IDEAL,
     Ideal,
@@ -45,6 +48,68 @@ def count_calls(monkeypatch, name: str, modules=(cls_codes, ideals, verify)) -> 
         if hasattr(module, name):
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_code_slack_reads_its_split_search_from_one_table(monkeypatch):
+    oracle = count_calls(monkeypatch, "code_included_oracle")
+    shifts = count_calls(monkeypatch, "seq_leq_shifted")
+    report = verify.run_suite("code-slack")
+    assert report.failed == 0 and report.details == {"codes": 1305, "sequences": 57}
+    # one set of shift masks per pair of the 57 sequences, d + 1 tests each
+    # (3 519 in all); the split search per pair of codes made 1 703 025 calls
+    assert oracle[0] == 0
+    assert shifts[0] <= 57**2 * 3
+
+
+def test_code_slack_guard_counts_the_shift_table():
+    # 61 constant codes: 3 721 pairs of codes, but the shift masks of the 61
+    # tails 0..60 cost C(63, 3) = 39 711 pointwise tests
+    grid = {"max_inf": 0, "max_head_len": 0, "max_entry": 0, "max_tail": 60}
+    with pytest.raises(verify.GridTooLargeError, match="39711"):
+        verify.run_suite("code-slack", {**grid, "ceiling": 20_000})
+    assert verify.run_suite("code-slack", {**grid, "ceiling": 39_711}).checked == 61**2
+
+
+CODE_GRID = {"max_inf": 1, "max_head_len": 2, "max_entry": 3, "max_tail": 2}
+
+
+def code_slack_reference(codes, rows):
+    """The pointwise walk: code_included, the rows and the split search by definition on every pair of codes."""
+    # the pointwise test as it stands when called, faults included; memoized
+    # here only to keep the walk fast
+    leq = cache(cls_codes.seq_leq_shifted)
+    bad = verify._Collector()
+    for inner, row in zip(codes, rows):
+        for j, outer in enumerate(codes):
+            slack = code_included(inner, outer)
+            in_rows = bool((row >> j) & 1)
+            d = outer.limit - inner.limit
+            oracle = any(leq(inner.p, outer.p, a) and leq(inner.q, outer.q, d - a) for a in range(d + 1))
+            if not slack == in_rows == oracle:
+                bad.add({
+                    "inner": inner.to_json(), "outer": outer.to_json(),
+                    "slack": slack, "code_rows": in_rows, "split_search": oracle,
+                })
+    return bad.count, bad.stored
+
+
+@pytest.mark.parametrize("fault, failed", [("code_rows", 2), ("seq_leq_shifted", 39)])
+def test_code_slack_reports_exactly_the_injected_fault(monkeypatch, fault, failed):
+    _, codes = verify._code_grid(CODE_GRID)
+    rows = code_rows(codes)
+    if fault == "code_rows":
+        # one inclusion dropped, one added
+        rows[0] ^= 1 << 1
+        rows[1] ^= 1 << 0
+        monkeypatch.setattr(verify, "code_rows", lambda cs: list(rows) if cs == codes else pytest.fail())
+    else:
+        # 3, 1, 1, ... is not below 3, 3, 2, ... shifted down by 1: say it is
+        flipped = (ExtSequence(0, (3,), 1), ExtSequence(0, (3, 3), 2), 1)
+        original = cls_codes.seq_leq_shifted
+        monkeypatch.setattr(cls_codes, "seq_leq_shifted", lambda *args: original(*args) != (args == flipped))
+    report = verify.run_suite("code-slack", CODE_GRID)
+    assert (report.failed, report.counterexamples) == code_slack_reference(codes, rows)
+    assert report.failed == failed
 
 
 def test_split_consistency_reads_a_slack_table_not_code_included(monkeypatch):
