@@ -11,8 +11,9 @@ ascending-chain corollaries.  A single ideal pair compares the outer ideal's
 (x, 0) split with the inner ideal's codes, reading the code slacks directly
 from the diagram columns (``is_contained``); an upset compares codes for
 every candidate at once (``containing_ideals``); a whole family is decided on
-the full code unions (``inclusion_rows``), and the ``split-consistency`` suite
-replays one route against the other.  Every route rests on one slack form:
+each outer ideal's (x, 0) split by bitset rows over the codes
+(``inclusion_rows``), and the ``split-consistency`` suite replays those rows
+against the full code unions.  Every route rests on one slack form:
 a split a + b = d fits under two slacks s_p, s_q iff s_p >= 0, s_q >= 0 and
 s_p + s_q >= d (``code_included``).  A direct closed-form condition on the
 diagram columns exists in the literature but disagrees with those corollaries
@@ -24,8 +25,9 @@ verify suite can report the disagreement, and is never used for decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations_with_replacement
-from operator import sub
+from operator import or_, sub
 from typing import Mapping, Sequence
 
 from .cls_codes import (
@@ -35,7 +37,6 @@ from .cls_codes import (
     _order_rows,
     _split_fits,
     bit_indices,
-    or_of_rows,
     seq_slack,
 )
 from .partitions import YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
@@ -165,33 +166,31 @@ def is_contained(inner: Ideal, outer: Ideal) -> bool:
 def inclusion_rows(ideals: Sequence[Ideal]) -> list[int]:
     """The inclusion order as bitset rows: bit j of row i iff is_contained(ideals[i], ideals[j]).
 
-    Built through the code route in one pass over the family's distinct
-    codes, by mask algebra.  The down-set of each code (the codes included
-    in it) comes from the slack table of code_rows, read transposed.  cov_i,
-    the codes included in some code of ideal i, is the OR of the down-sets
-    of ideal i's codes.  Ideal i lies below ideal j iff every code of j is
-    in cov_i, so row i is every nonzero ideal except those that have a code
-    outside cov_i: the OR of has[k] (the ideals with code k) over the codes
-    k not in cov_i.  Both ORs run in C (or_of_rows), so past the masks
-    the cost is two C-level passes per ideal, no Python step per pair.  The
-    zero ideal lies below everything.
+    Built through the code route by mask algebra, on the outer ideal's
+    (x, 0) split alone, as is_contained decides.  Code k of the list is
+    ideal k's (x, 0) split, and the other splits of every ideal follow.
+    The down-set of each code (the codes included in it) comes from the
+    slack table of code_rows, read transposed.  Ideal i lies below ideal j
+    iff the (x, 0) split of j, code j, is included in some code of ideal i:
+    so row i is the OR of the down-sets of ideal i's x + 1 codes, cut to
+    the first len(ideals) codes: past the down-sets, one OR per ideal.  The
+    zero ideal lies below everything and above nothing else; the
+    augmentation ideal's code stands in at its position, and that column
+    is cleared.  Duplicates need nothing: each copy has its own codes.  The
+    ``split-consistency`` suite replays these rows against the full code
+    unions.
     """
-    index: dict[ClsCode, int] = {}
-    masks = [
-        None if ideal.zero else sum(1 << index.setdefault(c, len(index)) for c in cls_union(ideal))
-        for ideal in ideals
-    ]
-    down = _order_rows(list(index), down=True)
-    has = [0] * len(index)
-    for j, mask in enumerate(masks):
-        for k in bit_indices(mask or 0):
-            has[k] |= 1 << j
-    all_codes = (1 << len(index)) - 1
-    nonzero = or_of_rows(has, all_codes)
-    full = (1 << len(masks)) - 1
+    codes = [split_code(AUGMENTATION_IDEAL if ideal.zero else ideal, ideal.x) for ideal in ideals]
+    starts = []
+    for ideal in ideals:
+        starts.append(len(codes))
+        codes.extend(split_code(ideal, c) for c in range(ideal.x))
+    down = _order_rows(codes, down=True)
+    nonzero = sum(1 << i for i, ideal in enumerate(ideals) if not ideal.zero)
+    full = (1 << len(ideals)) - 1
     return [
-        full if mask is None else nonzero & ~or_of_rows(has, all_codes & ~or_of_rows(down, mask))
-        for mask in masks
+        full if ideal.zero else reduce(or_, down[start : start + ideal.x], down[i]) & nonzero
+        for i, (ideal, start) in enumerate(zip(ideals, starts))
     ]
 
 
@@ -425,11 +424,15 @@ def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -
 def inclusion_rows_checks(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -> int:
     """The checks inclusion_rows pays on enumerate_ideals(...), without enumerating.
 
-    Its ideal pairs, or its code pairs if those weigh more: it holds one
-    bitset row over the family's codes per code, x + 1 codes for each ideal
-    of x, family_size * (max_x + 2) / 2 in all, and a row decides its code
-    pairs a 64-bit word at a time, so they count 64 to a check.  Exact up to
-    cap, some number past cap beyond it, like family_size.
+    Its ideal pairs, or its code pairs if those weigh more.  The family has
+    x + 1 codes for each ideal of x, codes = family_size * (max_x + 2) / 2
+    in all.  inclusion_rows builds one bitset row over them per code, the
+    down-sets, and then ORs the x + 1 rows of each ideal's codes: codes
+    rows read once more.  A row is read a 64-bit word at a time, so code
+    pairs count 64 to a check: codes**2 / 64 for the down-sets, and at most
+    as many again for the ORs.  The count keeps codes**2 / 64, as it bounds
+    the order of the work, not its constant.  Exact up to cap, some number
+    past cap beyond it, like family_size.
     """
     size = family_size(max_x, max_y, max_cols, max_len, cap)
     codes = size * (max_x + 2) // 2

@@ -15,14 +15,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations_with_replacement, compress, product
-from operator import ne
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 from .cls_codes import (
     ClsCode,
     ExtSequence,
     _intern,
+    _order_rows,
     _pair_table,
     _shift_masks,
     _split_fits,
@@ -44,7 +44,6 @@ from .ideals import (
     inclusion_rows,
     inclusion_rows_checks,
     is_contained,
-    split_code,
 )
 from .local_systems import _gap_union
 from .partitions import ShiftClass, YoungDiagram, as_array, as_int, canonicalize, class_count, enumerate_classes
@@ -461,34 +460,43 @@ def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
     )
 
 
+def _full_union_rows(family: list[Ideal]) -> list[int]:
+    """The reference of split-consistency: inclusion_rows decided on the full code unions, nonzero families only.
+
+    One pass over the family's distinct codes, by mask algebra.  The
+    down-set of each code (the codes included in it) comes from the slack
+    table of code_rows, read transposed.  cov_i, the codes included in some
+    code of ideal i, is the OR of the down-sets of ideal i's codes.  Ideal i
+    lies below ideal j iff every code of j is in cov_i, so row i is every
+    ideal except those that have a code outside cov_i: the OR of has[k]
+    (the ideals with code k) over the codes k not in cov_i.  That takes one
+    OR per code outside cov_i, so the cost is quadratic in the family.
+    """
+    index: dict[ClsCode, int] = {}
+    masks = [sum(1 << index.setdefault(c, len(index)) for c in cls_union(ideal)) for ideal in family]
+    down = _order_rows(list(index), down=True)
+    has = [0] * len(index)
+    for j, mask in enumerate(masks):
+        for k in bit_indices(mask):
+            has[k] |= 1 << j
+    all_codes = (1 << len(index)) - 1
+    full = (1 << len(family)) - 1
+    return [full & ~or_of_rows(has, all_codes & ~or_of_rows(down, mask)) for mask in masks]
+
+
 def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     n = _family_size(grid, ceiling)
     checked = n * n
     _guard_rows(checked, grid, ceiling, "split-consistency")
     family = _family(grid)
     bad = _Collector()
-    rows = inclusion_rows(family)
-    # the single split (c, d) = (x, 0) of each outer ideal's union, and every
-    # code of each inner ideal, as (limit, p, q) over interned sequences; a
-    # pair of codes is decided by the slack criterion on one slack table,
-    # pair by pair, with no code_included call and no mask
-    index: dict[ExtSequence, int] = {}
-    singles = [_intern(index, split_code(outer, outer.x)) for outer in family]
-    unions = [[_intern(index, code) for code in cls_union(inner)] for inner in family]
-    # under[b][a] = seq_slack(a, b): the slack of every sequence a below b
-    under = _pair_table(lambda b, a: seq_slack(a, b), index)
-    for inner, row, union in zip(family, rows, unions):
-        # one list per code of inner over every outer single, and one any per single
-        fits = []
-        for m, pk, qk in union:
-            under_p, under_q = under[pk], under[qk]
-            fits.append([_split_fits(m - limit, under_p[p], under_q[q]) for limit, p, q in singles])
-        single = list(map(any, zip(*fits)))
-        full = list(map("1".__eq__, format(row, f"0{n}b")[::-1]))
-        for j in compress(range(n), map(ne, full, single)):
+    # inclusion_rows decides on each outer ideal's (x, 0) split alone; the
+    # pairs where the full code unions differ are walked in pair order
+    for inner, single, full in zip(family, inclusion_rows(family), _full_union_rows(family)):
+        for j in bit_indices(single ^ full):
             bad.add({
                 "inner": inner.to_json(), "outer": family[j].to_json(),
-                "full_union": full[j], "single_split": single[j],
+                "full_union": bool(full >> j & 1), "single_split": bool(single >> j & 1),
             })
     return _finish("split-consistency", grid, checked, bad, {"family": n})
 

@@ -26,7 +26,7 @@ from slinf.ideals import (
     split_code,
 )
 from slinf.partitions import YoungDiagram
-from slinf.verify import run_suite
+from slinf.verify import _full_union_rows, run_suite
 
 
 def test_code_sequence_examples():
@@ -309,11 +309,14 @@ ideals = st.one_of(
 @given(st.lists(ideals, max_size=10), st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_inclusion_rows_match_pointwise_inclusion(family, data):
-    # inclusion_rows decides on the full code unions, is_contained on one
-    # split whose slacks it reads off the columns
+    # inclusion_rows decides on each outer (x, 0) split through the code
+    # rows, is_contained on the same split with its slacks read off the
+    # columns, and the reference on the full code unions (nonzero ideals only)
     if family:  # repeat some entries, so duplicates always occur
         family += data.draw(st.lists(st.sampled_from(family), min_size=1, max_size=3))
     assert inclusion_rows(family) == pointwise_rows(family)
+    nonzero = [ideal for ideal in family if not ideal.zero]
+    assert _full_union_rows(nonzero) == pointwise_rows(nonzero)
 
 
 def pointwise_rows(family):
@@ -327,6 +330,12 @@ FROZEN_FAMILY = [ZERO_IDEAL] + enumerate_ideals(2, 2, 2, 2)
 def test_is_contained_equals_inclusion_rows_on_the_frozen_family():
     # every pair of the frozen family, the zero ideal included
     assert inclusion_rows(FROZEN_FAMILY) == pointwise_rows(FROZEN_FAMILY)
+
+
+def test_inclusion_rows_equal_the_full_unions_past_the_frozen_family():
+    # 900 ideals with columns of length 3, beyond the frozen split-consistency grid
+    family = enumerate_ideals(2, 2, 2, 3)
+    assert inclusion_rows(family) == _full_union_rows(family)
 
 
 @given(ideals.filter(lambda ideal: not ideal.zero), st.data())
@@ -402,8 +411,8 @@ def test_containing_ideals_match_pointwise_definition(ideal, width_cap):
     # the pointwise definition containing_ideals replaced: one is_contained per candidate
     assert upset == [cand for cand in candidates if is_contained(ideal, cand)]
     # the full code unions, with no single-split argument: bit 1 of row 0 is ideal <= cand.
-    # One pair at a time, since inclusion_rows is quadratic in the codes of its family
-    assert upset == [cand for cand in candidates if inclusion_rows([ideal, cand])[0] & 0b10]
+    # One pair at a time, since the reference is quadratic in the codes of its family
+    assert upset == [cand for cand in candidates if _full_union_rows([ideal, cand])[0] & 0b10]
     # the augmentation ideal contains everything, so y > 0 always yields a hit with y' < y (d > 0)
     assert AUGMENTATION_IDEAL in upset
     assert (ideal in upset) == (max(len(ideal.yl), len(ideal.yr)) <= width_cap)

@@ -2,7 +2,8 @@
 
 The suites take every per-pair input from a table built once per run:
 code-slack from one seq_slack table and one table of shift masks over the
-interned sequences, split-consistency from one seq_slack table,
+interned sequences, split-consistency from two row builds (inclusion_rows on
+the single splits, the full-union reference), one seq_slack table each,
 tord-discrepancy from one table of column slacks per reading (inner
 diagram by outer diagram by shove), acc from one measure per ideal.
 These tests pin those call counts on the frozen grid, check the condition
@@ -28,7 +29,6 @@ from slinf.ideals import (
     diagram_order_condition,
     enumerate_ideals,
     family_size,
-    split_code,
 )
 
 # asymmetric in x and y, with the required tord-discrepancy instance I(0,1) < I(0,0)
@@ -112,13 +112,14 @@ def test_code_slack_reports_exactly_the_injected_fault(monkeypatch, fault, faile
     assert report.failed == failed
 
 
-def test_split_consistency_reads_a_slack_table_not_code_included(monkeypatch):
+def test_split_consistency_reads_two_slack_tables_not_code_included(monkeypatch):
     slacks = count_calls(monkeypatch, "seq_slack")
     forbidden = [count_calls(monkeypatch, name) for name in ("code_included", "union_included")]
     report = verify.run_suite("split-consistency")
     assert report.failed == 0 and report.checked == 324 * 324
-    # one table; two seq_slack calls per compared pair of codes would pass 150 000
-    assert slacks[0] <= 10_000
+    # one table over the 54 code halves per row build, single split and full
+    # union; two seq_slack calls per compared pair of codes would pass 150 000
+    assert slacks[0] <= 2 * 54**2
     assert [calls[0] for calls in forbidden] == [0, 0]
 
 
@@ -163,12 +164,12 @@ def test_condition_rows_match_pointwise_condition(bounds):
 
 
 def split_consistency_reference(family, rows):
-    """The pointwise definition: the rows against union_included of each outer (x, 0) split."""
+    """The pointwise definition: the single-split rows against union_included of each outer's full union."""
     bad = verify._Collector()
     for inner, row in zip(family, rows):
         for j, outer in enumerate(family):
-            full = bool((row >> j) & 1)
-            single = union_included((split_code(outer, outer.x),), cls_union(inner))
+            single = bool((row >> j) & 1)
+            full = union_included(cls_union(outer), cls_union(inner))
             if full != single:
                 bad.add({
                     "inner": inner.to_json(), "outer": outer.to_json(),
@@ -275,7 +276,7 @@ def test_replays_report_exactly_the_injected_fault(monkeypatch, inner, outer):
     assert (report.failed, report.counterexamples) == split_consistency_reference(family, rows)
     assert report.counterexamples == [{
         "inner": inner.to_json(), "outer": outer.to_json(),
-        "full_union": bool((rows[i] >> j) & 1), "single_split": not (rows[i] >> j) & 1,
+        "full_union": not (rows[i] >> j) & 1, "single_split": bool((rows[i] >> j) & 1),
     }]
 
     report = verify.run_suite("tord-discrepancy", SMALL)
