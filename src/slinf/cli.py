@@ -69,6 +69,11 @@ def _finish_bool(value: bool) -> int:
     return 0 if value else 1
 
 
+def _decision(parse, decide):
+    """The handler of a command deciding decide(parse(first), parse(second)) on its two positional arguments."""
+    return lambda args: _finish_bool(decide(parse(args.first), parse(args.second)))
+
+
 def _build_system(name: str, partitions):
     if name == "forbidden":
         return forbidden_to_coherent(partitions)
@@ -95,18 +100,6 @@ def _cmd_dominates(args) -> int:
     return _finish_bool(gap_criterion(lam, mu))
 
 
-def _cmd_qvee(args) -> int:
-    return _finish_bool(
-        avoiding_system_contains(_parse_partition(args.lam), _parse_partition(args.mu))
-    )
-
-
-def _cmd_qlambda(args) -> int:
-    return _finish_bool(
-        gap_union_contains(_parse_partition(args.lam), _parse_partition(args.mu))
-    )
-
-
 def _window_cost(widths: range, bound: int, cap: int) -> int:
     # Partition entries a window check may generate at these widths, bound
     # included: width w has C(bound + 2w - 2, bound) interlacing (class, child)
@@ -120,7 +113,7 @@ def _window_cost(widths: range, bound: int, cap: int) -> int:
     return total
 
 
-def _window(args, slack: int | None = None) -> LevelWindow:
+def _window(args, slack: int | None) -> LevelWindow:
     """The window of a plscheck/clscheck call, refused past the verify ceiling before any enumeration.
 
     A slack (clscheck) adds the witness levels one width up; a negative one
@@ -140,46 +133,47 @@ def _window(args, slack: int | None = None) -> LevelWindow:
     return window
 
 
-def _refuse_past_ceiling(count: int, what: str, shrink: str) -> None:
-    """Refuse, before any enumeration, a command whose check count passes the verify ceiling."""
+def _refuse_past_ceiling(count: int, what: str, unit: str, shrink: str) -> None:
+    """Refuse, before any enumeration, a command whose count of units passes the verify ceiling."""
     cap = verify.DEFAULT_CEILING
     if count > cap:
-        raise ValueError(f"{what} would need more than {cap} inclusion checks; shrink {shrink}")
+        raise ValueError(f"{what} would need more than {cap} {unit}; shrink {shrink}")
 
 
-def _cmd_plscheck(args) -> int:
+def _cmd_window_check(args) -> int:
+    """plscheck, or clscheck: the one of the two with a slack."""
     system = _build_system(args.system, [_parse_partition(t) for t in args.partitions])
-    return _finish_bool(is_precoherent_on_window(system, _window(args)))
-
-
-def _cmd_clscheck(args) -> int:
-    system = _build_system(args.system, [_parse_partition(t) for t in args.partitions])
-    return _finish_bool(is_coherent_on_window(system, _window(args, args.slack), args.slack))
-
-
-def _cmd_cls_include(args) -> int:
-    return _finish_bool(code_included(_parse_code(args.inner), _parse_code(args.outer)))
-
-
-def _cmd_ideal_include(args) -> int:
-    return _finish_bool(is_contained(_parse_ideal(args.inner), _parse_ideal(args.outer)))
+    slack = getattr(args, "slack", None)
+    window = _window(args, slack)
+    if slack is None:
+        return _finish_bool(is_precoherent_on_window(system, window))
+    return _finish_bool(is_coherent_on_window(system, window, slack))
 
 
 def _cmd_ideal_cls(args) -> int:
-    codes = sorted(cls_union(_parse_ideal(args.ideal)), key=ClsCode.sort_key)
+    ideal = _parse_ideal(args.ideal)
+    # x + 1 codes, each printing two infinity counts, two tails and the columns of both diagrams
+    count = (ideal.x + 1) * (4 + len(ideal.yl) + len(ideal.yr))
+    _refuse_past_ceiling(count, f"the codes of {ideal}", "printed integers", "the ideal's x")
+    codes = sorted(cls_union(ideal), key=ClsCode.sort_key)
     _emit([c.to_json() for c in codes])
     return 0
 
 
 def _cmd_ideal_weight(args) -> int:
-    _emit(highest_weight(_parse_ideal(args.ideal)).to_json())
+    ideal = _parse_ideal(args.ideal)
+    # at most x + #Yl + 2 #Yr explicit coefficients (position, u, v), and the odd tail:
+    # the right columns, and past them as many odd positions padded with y
+    count = 3 * (ideal.x + len(ideal.yl) + 2 * len(ideal.yr)) + 1
+    _refuse_past_ceiling(count, f"the highest weight of {ideal}", "printed integers", "the ideal's x")
+    _emit(highest_weight(ideal).to_json())
     return 0
 
 
 def _cmd_ideal_upset(args) -> int:
     ideal = _parse_ideal(args.ideal)
     size = upset_size(ideal, args.cap, verify.DEFAULT_CEILING)
-    _refuse_past_ceiling(size, f"the upset of {ideal}", "--cap or the ideal's x")
+    _refuse_past_ceiling(size, f"the upset of {ideal}", "inclusion checks", "--cap or the ideal's x")
     found = containing_ideals(ideal, args.cap)
     _emit([ideal.to_json() for ideal in found])
     return 0
@@ -189,7 +183,7 @@ def _cmd_ideal_hasse(args) -> int:
     bounds = (args.max_x, args.max_y, args.max_cols, args.max_len)
     if min(bounds) >= 0:  # negative bounds are left for family_hasse to refuse
         checks = inclusion_rows_checks(*bounds, verify.DEFAULT_CEILING)
-        _refuse_past_ceiling(checks, "the Hasse diagram of this family", "the --max-* bounds")
+        _refuse_past_ceiling(checks, "the Hasse diagram of this family", "inclusion checks", "the --max-* bounds")
     text = family_hasse(args.max_x, args.max_y, args.max_cols, args.max_len, args.format)
     sys.stdout.write(text)
     return 0
@@ -197,11 +191,7 @@ def _cmd_ideal_hasse(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = verify.load_grid_config(args.grid_file) if args.grid_file else None
-    try:
-        report = verify.run_suite(args.suite, config=config)
-    except (verify.UnknownSuiteError, verify.GridTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = verify.run_suite(args.suite, config=config)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
     return 0 if report.failed == 0 else 1
 
@@ -231,19 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["oracle", "interlace", "criterion4x"], default="interlace")
     p.set_defaults(func=_cmd_dominates)
 
-    p = sub.add_parser("qvee", help="membership of mu in the largest system avoiding lam")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.set_defaults(func=_cmd_qvee)
+    for name, decide, extra_help in (
+        ("qvee", avoiding_system_contains, "membership of mu in the largest system avoiding lam"),
+        ("qlambda", gap_union_contains, "membership of mu in the gap-union system of lam"),
+    ):
+        p = sub.add_parser(name, help=extra_help)
+        p.add_argument("first", metavar="lam")
+        p.add_argument("second", metavar="mu")
+        p.set_defaults(func=_decision(_parse_partition, decide))
 
-    p = sub.add_parser("qlambda", help="membership of mu in the gap-union system of lam")
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.set_defaults(func=_cmd_qlambda)
-
-    for name, func, extra_help in (
-        ("plscheck", _cmd_plscheck, "is the system dominance-closed on the window?"),
-        ("clscheck", _cmd_clscheck, "is the system coherent on the window?"),
+    for name, extra_help in (
+        ("plscheck", "is the system dominance-closed on the window?"),
+        ("clscheck", "is the system coherent on the window?"),
     ):
         p = sub.add_parser(name, help=extra_help)
         p.add_argument("partitions", nargs="+", help="JSON arrays defining the system")
@@ -252,22 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bound", required=True, type=int, metavar="B")
         if name == "clscheck":
             p.add_argument("--slack", type=int, default=0, metavar="S")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_window_check)
 
     p = sub.add_parser("cls", help="sequence-code operations")
     cls_sub = p.add_subparsers(dest="cls_command", required=True)
     q = cls_sub.add_parser("include", help="is the first code included in the second?")
-    q.add_argument("inner", help='JSON like {"p":{"inf":0,"head":[],"tail":0},"q":{...}}')
-    q.add_argument("outer")
-    q.set_defaults(func=_cmd_cls_include)
+    q.add_argument("first", metavar="inner", help='JSON like {"p":{"inf":0,"head":[],"tail":0},"q":{...}}')
+    q.add_argument("second", metavar="outer")
+    q.set_defaults(func=_decision(_parse_code, code_included))
 
     p = sub.add_parser("ideal", help="primitive-ideal operations")
     ideal_sub = p.add_subparsers(dest="ideal_command", required=True)
 
     q = ideal_sub.add_parser("include", help="is the first ideal contained in the second?")
-    q.add_argument("inner", help='JSON like {"x":0,"y":1,"yl":[],"yr":[]} or {"zero":true}')
-    q.add_argument("outer")
-    q.set_defaults(func=_cmd_ideal_include)
+    q.add_argument("first", metavar="inner", help='JSON like {"x":0,"y":1,"yl":[],"yr":[]} or {"zero":true}')
+    q.add_argument("second", metavar="outer")
+    q.set_defaults(func=_decision(_parse_ideal, is_contained))
 
     q = ideal_sub.add_parser("cls", help="the ideal's sequence codes")
     q.add_argument("ideal")

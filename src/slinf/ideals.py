@@ -403,14 +403,14 @@ def enumerate_ideals(max_x: int, max_y: int, max_cols: int, max_len: int) -> lis
     if max_x < 0 or max_y < 0:
         raise ValueError("family bounds must be >= 0")
     diagrams = enumerate_diagrams(max_cols, max_len)
-    family = [
+    # the loops run in Ideal.sort_key order, as the diagrams are sorted
+    return [
         Ideal._trusted(x, y, yl, yr)
         for x in range(max_x + 1)
         for y in range(max_y + 1)
         for yl in diagrams
         for yr in diagrams
     ]
-    return sorted(family, key=Ideal.sort_key)
 
 
 def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -> int:

@@ -10,6 +10,7 @@ module, so acceptance runs are reproducible; overrides are explicit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -73,15 +74,7 @@ class VerifyReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": self.grid,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "counterexamples": self.counterexamples,
-            "details": self.details,
-        }
+        return dataclasses.asdict(self)
 
 
 class _Collector:
@@ -376,36 +369,33 @@ def _suite_code_slack(grid: dict, ceiling: int) -> VerifyReport:
 # ideal suites
 
 
-def _family(grid: dict) -> list[Ideal]:
-    return enumerate_ideals(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"])
+def _ideal_rows(grid: dict, ceiling: int, suite: str, projected) -> tuple[int, list[Ideal], list[int]]:
+    """(n, family, inclusion_rows(family)) for the grid's family of n ideals, guarded before enumerating.
 
-
-def _family_size(grid: dict, ceiling: int) -> int:
-    return family_size(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"], ceiling)
-
-
-def _guard_rows(projected: int, grid: dict, ceiling: int, suite: str):
-    """_guard for a suite that builds inclusion_rows, whose code rows may cost more than its pairs."""
-    rows = inclusion_rows_checks(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"], ceiling)
-    _guard(max(projected, rows), ceiling, suite)
+    The guard takes the suite's projected(n) checks, or the code rows of
+    inclusion_rows if those weigh more.
+    """
+    bounds = grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"]
+    n = family_size(*bounds, ceiling)
+    _guard(max(projected(n), inclusion_rows_checks(*bounds, ceiling)), ceiling, suite)
+    family = enumerate_ideals(*bounds)
+    return n, family, inclusion_rows(family)
 
 
 def _suite_ideal_order(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid, ceiling)
-    projected = 2 * n * n + n
-    _guard_rows(projected, grid, ceiling, "ideal-order")
-    family = _family(grid)
+    n, family, rows = _ideal_rows(grid, ceiling, "ideal-order", lambda n: 2 * n * n + n)
     bad = _Collector()
-    containment_checks = _partial_order_violations(family, inclusion_rows(family), Ideal.to_json, bad)
+    containment_checks = _partial_order_violations(family, rows, Ideal.to_json, bad)
     checked = n * n + n + containment_checks
     return _finish("ideal-order", grid, checked, bad, {"family": n})
 
 
 def _suite_maximal(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid, ceiling)
+    bounds = grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"]
+    n = family_size(*bounds, ceiling)
     checked = n * n + n
-    _guard(checked, ceiling, "maximal")
-    family = _family(grid)
+    _guard(checked, ceiling, "maximal")  # no rows built: the pairs alone
+    family = enumerate_ideals(*bounds)
     bad = _Collector()
     for ideal in family:
         if not is_contained(ideal, AUGMENTATION_IDEAL):
@@ -422,15 +412,13 @@ def _suite_maximal(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid, ceiling)
     chains = int(grid.get("chains", 1000))
+    n, family, rows = _ideal_rows(grid, ceiling, "acc", lambda n: n * n + chains)
     checked = n * n + chains
-    _guard_rows(checked, grid, ceiling, "acc")
-    family = _family(grid)
     bad = _Collector()
     # each ideal's measure once, and its strict supersets as indices into family
     measures = [acc_measure(ideal) for ideal in family]
-    supersets = [list(bit_indices(row & ~(1 << i))) for i, row in enumerate(inclusion_rows(family))]
+    supersets = [list(bit_indices(row & ~(1 << i))) for i, row in enumerate(rows)]
     for inner, measure, above in zip(family, measures, supersets):
         for j in above:
             if not measures[j] < measure:
@@ -485,14 +473,12 @@ def _full_union_rows(family: list[Ideal]) -> list[int]:
 
 
 def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid, ceiling)
+    n, family, rows = _ideal_rows(grid, ceiling, "split-consistency", lambda n: n * n)
     checked = n * n
-    _guard_rows(checked, grid, ceiling, "split-consistency")
-    family = _family(grid)
     bad = _Collector()
     # inclusion_rows decides on each outer ideal's (x, 0) split alone; the
     # pairs where the full code unions differ are walked in pair order
-    for inner, single, full in zip(family, inclusion_rows(family), _full_union_rows(family)):
+    for inner, single, full in zip(family, rows, _full_union_rows(family)):
         for j in bit_indices(single ^ full):
             bad.add({
                 "inner": inner.to_json(), "outer": family[j].to_json(),
@@ -551,14 +537,13 @@ def _diagram_condition_rows(family: list[Ideal], padded: bool) -> list[int]:
 
 
 def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
-    n = _family_size(grid, ceiling)
+    n, family, actual_rows = _ideal_rows(grid, ceiling, "tord-discrepancy", lambda n: 3 * n * n)
     checked = 3 * n * n
-    _guard_rows(checked, grid, ceiling, "tord-discrepancy")
-    family = _family(grid)
     bad = _Collector()
     padded_missed = padded_unsound = loose_missed = loose_unsound = 0
     padded_missed_sample: list[dict] = []
-    actual_rows = inclusion_rows(family)
+    required_inner, required_outer = Ideal(0, 1, (), ()), AUGMENTATION_IDEAL
+    required_seen = False
     padded_rows = _diagram_condition_rows(family, padded=True)
     loose_rows = _diagram_condition_rows(family, padded=False)
     # counts come from the rows; pairs are walked one at a time only where
@@ -580,11 +565,8 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
             if len(padded_missed_sample) == 10:
                 break
             padded_missed_sample.append({"inner": inner.to_json(), "outer": family[j].to_json()})
-    required_inner = Ideal(0, 1, (), ())
-    required_outer = AUGMENTATION_IDEAL
-    where = {ideal: k for k, ideal in enumerate(family)}
-    i, j = where.get(required_inner), where.get(required_outer)
-    required_seen = None not in (i, j) and bool((actual_rows[i] & ~padded_rows[i]) >> j & 1)
+        if inner == required_inner:  # the augmentation ideal is in every family _blocks accepts
+            required_seen = bool(missed >> family.index(required_outer) & 1)
     if not required_seen:
         bad.add({
             "law": "expected-discrepancy-instance-missing",

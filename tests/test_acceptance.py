@@ -6,12 +6,15 @@ silently shrunk grid cannot fake a pass.  Run with ``pytest -s`` to see the
 per-criterion lines.
 """
 
+import json
 from math import comb
+from pathlib import Path
 
 from slinf import verify
 from slinf.ideals import AUGMENTATION_IDEAL, Ideal
 
 FAMILY_SIZE = 3 * 3 * 6 * 6  # x,y <= 2, diagrams <= 2 columns x length 2
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_and_announce(number, label, suite, expect_checked=None):
@@ -22,6 +25,9 @@ def run_and_announce(number, label, suite, expect_checked=None):
         f"{report.checked} checks, {report.failed} failures"
     )
     assert report.failed == 0, report.counterexamples[:5]
+    # byte for byte what `slinf verify <suite>` printed when the golden was captured
+    printed = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+    assert printed == (GOLDEN / f"{suite}.json").read_text(encoding="utf-8")
     if expect_checked is not None:
         assert report.checked == expect_checked
     return report

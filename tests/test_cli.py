@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slinf.cli import main
+from slinf.ideals import make_weight
 from slinf.verify import load_grid_config, suite_names
+
+GOLDEN_HELP = Path(__file__).resolve().parent / "golden" / "help"
 
 
 def run(capsys, *argv):
@@ -308,6 +311,49 @@ def test_verify_guards_count_code_rows_before_enumerating(capsys, monkeypatch, t
     for suite in suites:
         code, out, err = run(capsys, "verify", suite, "--grid-file", str(grids))
         assert (code, out) == (2, "") and "above the ceiling" in err, (suite, err)
+
+
+def test_verify_refusals_print_one_error_line(capsys, tmp_path):
+    # run_suite's own refusals reach main's error path like every other ValueError
+    grids = tmp_path / "wide_x.json"
+    grids.write_text(json.dumps({"suites": {"acc": {"max_x": 3000, "max_y": 0, "max_cols": 0, "max_len": 0}}}))
+    for argv, reason in (
+        (["verify", "nosuch"], "error: unknown suite 'nosuch'; known suites: acc, "),
+        (["verify", "acc", "--grid-file", str(grids)], "above the ceiling of 10000000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert reason in err, err
+
+
+@pytest.mark.parametrize(
+    "command", [["qvee"], ["qlambda"], ["plscheck"], ["clscheck"], ["cls", "include"], ["ideal", "include"]]
+)
+def test_decision_command_help_is_unchanged(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_HELP / f"{'-'.join(command)}.txt").read_text(encoding="utf-8")
+
+
+def test_ideal_cls_and_weight_refuse_long_answers_before_building(capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the answer was built")
+
+    monkeypatch.setattr("slinf.cli.cls_union", forbidden)
+    monkeypatch.setattr("slinf.cli.highest_weight", forbidden)
+    for verb in ("cls", "weight"):
+        start = time.process_time()
+        code, out, err = run(capsys, "ideal", verb, json.dumps({"x": 10**8}))
+        assert (code, out) == (2, "") and err.count("\n") == 1, err
+        assert err.startswith("error: ") and "more than 10000000 printed integers" in err, err
+        assert time.process_time() - start < 1
+    # the largest accepted x with empty diagrams: 4 (x + 1) and 3 x + 1 integers
+    monkeypatch.setattr("slinf.cli.cls_union", lambda ideal: frozenset())
+    monkeypatch.setattr("slinf.cli.highest_weight", lambda ideal: make_weight({}, 0))
+    for verb, largest in (("cls", 2_499_999), ("weight", 3_333_333)):
+        assert run(capsys, "ideal", verb, json.dumps({"x": largest}))[0] == 0
+        assert run(capsys, "ideal", verb, json.dumps({"x": largest + 1}))[0] == 2
 
 
 def test_usage_errors_exit_2(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slinf
-from slinf.cls_codes import ClsCode, ExtSequence, code_included, seq_slack
+from slinf.cls_codes import ClsCode, ExtSequence, code_included, seq_slack, union_included
 from slinf.ideals import (
     AUGMENTATION_IDEAL,
     ZERO_IDEAL,
@@ -410,9 +410,8 @@ def test_containing_ideals_match_pointwise_definition(ideal, width_cap):
     candidates = upset_candidates(ideal, width_cap)
     # the pointwise definition containing_ideals replaced: one is_contained per candidate
     assert upset == [cand for cand in candidates if is_contained(ideal, cand)]
-    # the full code unions, with no single-split argument: bit 1 of row 0 is ideal <= cand.
-    # One pair at a time, since the reference is quadratic in the codes of its family
-    assert upset == [cand for cand in candidates if _full_union_rows([ideal, cand])[0] & 0b10]
+    # the full code unions, with no single-split argument: every code of cand lies in one of ideal's
+    assert upset == [cand for cand in candidates if union_included(cls_union(cand), cls_union(ideal))]
     # the augmentation ideal contains everything, so y > 0 always yields a hit with y' < y (d > 0)
     assert AUGMENTATION_IDEAL in upset
     assert (ideal in upset) == (max(len(ideal.yl), len(ideal.yr)) <= width_cap)
