@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import verify
 from .cls_codes import ClsCode, code_included
@@ -18,11 +18,11 @@ from .dominance import dominates_interlace, dominates_oracle, gap_criterion
 from .hasse import family_hasse
 from .ideals import (
     Ideal,
-    cls_union,
     containing_ideals,
     highest_weight,
     inclusion_rows_checks,
     is_contained,
+    split_code,
     upset_size,
 )
 from .local_systems import (
@@ -62,6 +62,18 @@ def _parse_widths(text: str) -> tuple[int, int]:
 
 def _emit(value) -> None:
     print(json.dumps(value, sort_keys=True))
+
+
+def _emit_each(items: Iterable) -> None:
+    """Print json.dumps(list(items), sort_keys=True), writing each item as it is made.
+
+    Nothing is written before the first item is made, so a refusal there prints only its error line.
+    """
+    opening = "["
+    for item in items:
+        sys.stdout.write(opening + json.dumps(item, sort_keys=True))
+        opening = ", "
+    sys.stdout.write("[]\n" if opening == "[" else "]\n")
 
 
 def _finish_bool(value: bool) -> int:
@@ -155,8 +167,8 @@ def _cmd_ideal_cls(args) -> int:
     # x + 1 codes, each printing two infinity counts, two tails and the columns of both diagrams
     count = (ideal.x + 1) * (4 + len(ideal.yl) + len(ideal.yr))
     _refuse_past_ceiling(count, f"the codes of {ideal}", "printed integers", "the ideal's x")
-    codes = sorted(cls_union(ideal), key=ClsCode.sort_key)
-    _emit([c.to_json() for c in codes])
+    # the splits c = 0..x come in ClsCode.sort_key order, as the p half has c infinities
+    _emit_each(split_code(ideal, c).to_json() for c in range(ideal.x + 1))
     return 0
 
 

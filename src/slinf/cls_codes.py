@@ -99,10 +99,6 @@ class ClsCode:
     def limit(self) -> int:
         return self.p.tail
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.p.is_normalized and self.q.is_normalized
-
     def normalized(self) -> "ClsCode":
         return ClsCode(self.p.normalized(), self.q.normalized())
 

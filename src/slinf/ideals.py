@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from operator import or_, sub
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .cls_codes import (
     INF,
@@ -281,49 +281,47 @@ def acc_measure(ideal: Ideal) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Weight:
-    """Formal weight: finitely many explicit coefficients plus a constant odd tail.
+    """Formal weight: finitely many coefficients plus a constant odd tail.
 
     A coefficient is a pair (u, v) standing for u + v*alpha with alpha a
     fixed transcendental marker; no field arithmetic is ever performed on
-    it.  Positions beyond the explicit part carry odd_tail at odd indices
-    and 0 at even ones.  Instances are normalized, so equality is canonical.
+    it.  coefficients[i - 1] is position i; positions past the tuple carry
+    odd_tail at odd indices and 0 at even ones.  Trailing coefficients equal
+    to that default are dropped, so equality is canonical.
     """
 
-    explicit: tuple[tuple[int, tuple[int, int]], ...]
+    coefficients: tuple[tuple[int, int], ...]
     odd_tail: int
 
     def __post_init__(self):
         if self.odd_tail < 0:
             raise ValueError("odd_tail must be >= 0")
-        items = dict(self.explicit)
-        if len(items) != len(self.explicit):
-            raise ValueError("duplicate explicit positions")
-        if any(i < 1 for i in items):
-            raise ValueError("positions are 1-indexed")
-        normalized = _normalize_coefficients(items, self.odd_tail)
-        object.__setattr__(self, "explicit", normalized)
+        coefficients = [(int(u), int(v)) for u, v in self.coefficients]
+        while coefficients and coefficients[-1] == self._past_end(len(coefficients)):
+            coefficients.pop()
+        object.__setattr__(self, "coefficients", tuple(coefficients))
+
+    def _past_end(self, index: int) -> tuple[int, int]:
+        return (self.odd_tail, 0) if index % 2 else (0, 0)
 
     def coefficient(self, index: int) -> tuple[int, int]:
-        """(u, v) at the 1-indexed position: explicit entry, tail value, or zero."""
+        """(u, v) at the 1-indexed position."""
         if index < 1:
             raise ValueError("positions are 1-indexed")
-        for i, c in self.explicit:
-            if i == index:
-                return c
-        top = self.explicit[-1][0] if self.explicit else 0
-        if index > top and index % 2 == 1:
-            return (self.odd_tail, 0)
-        return (0, 0)
+        if index <= len(self.coefficients):
+            return self.coefficients[index - 1]
+        return self._past_end(index)
+
+    def _listed(self) -> Iterator[tuple[int, tuple[int, int]]]:
+        # (position, coefficient) for the nonzero coefficients and the last one
+        last = len(self.coefficients)
+        return ((i, c) for i, c in enumerate(self.coefficients, 1) if c != (0, 0) or i == last)
 
     def to_json(self) -> dict:
-        return {
-            "explicit": {str(i): list(c) for i, c in self.explicit},
-            "odd_tail": self.odd_tail,
-        }
+        return {"explicit": {str(i): list(c) for i, c in self._listed()}, "odd_tail": self.odd_tail}
 
     def __str__(self) -> str:
-        terms = [f"({_coefficient_str(c)})e{i}" for i, c in self.explicit]
-        body = " + ".join(terms) if terms else "0"
+        body = " + ".join(f"({_coefficient_str(c)})e{i}" for i, c in self._listed()) or "0"
         return f"{body} [odd tail {self.odd_tail}]"
 
 
@@ -337,23 +335,11 @@ def _coefficient_str(coeff: tuple[int, int]) -> str:
     return f"{u}+{alpha}"
 
 
-def _normalize_coefficients(items: dict[int, tuple[int, int]], odd_tail: int):
-    items = {int(i): (int(u), int(v)) for i, (u, v) in items.items()}
-    while items:
-        top = max(items)
-        default = (odd_tail, 0) if top % 2 else (0, 0)
-        if items[top] == default:
-            del items[top]
-            continue
-        for i in [i for i in items if i != top and items[i] == (0, 0)]:
-            del items[i]
-        break
-    return tuple(sorted(items.items()))
-
-
 def make_weight(coefficients: Mapping[int, tuple[int, int]], odd_tail: int) -> Weight:
-    """Build a normalized Weight from a position -> (u, v) mapping."""
-    return Weight(tuple(sorted((int(i), (int(u), int(v))) for i, (u, v) in coefficients.items())), odd_tail)
+    """Build a Weight from a position -> (u, v) mapping; unlisted positions up to the largest are (0, 0)."""
+    if any(i < 1 for i in coefficients):
+        raise ValueError("positions are 1-indexed")
+    return Weight(tuple(coefficients.get(i, (0, 0)) for i in range(1, max(coefficients, default=0) + 1)), odd_tail)
 
 
 def highest_weight(ideal: Ideal) -> Weight:
@@ -366,19 +352,13 @@ def highest_weight(ideal: Ideal) -> Weight:
     """
     if ideal.zero:
         raise ValueError("the zero ideal has no highest-weight datum here")
-    x, y = ideal.x, ideal.y
-    coeffs: dict[int, tuple[int, int]] = {}
-    for i in range(1, x + 1):
-        coeffs[2 * i - 1] = (y, i)
-    for i, col in enumerate(ideal.yl, start=1):
-        coeffs[2 * (i + x) - 1] = (y + col, 0)
-    t = len(ideal.yr)
-    for j in range(1, t + 1):
-        coeffs[2 * j] = (ideal.yr[t - j], 0)
-    top = max(coeffs, default=0)
-    for i in range(1, top, 2):
-        coeffs.setdefault(i, (y, 0))
-    return make_weight(coeffs, y)
+    y = ideal.y
+    odd = [(y, i) for i in range(1, ideal.x + 1)] + [(y + col, 0) for col in ideal.yl]
+    even = [(col, 0) for col in reversed(ideal.yr)]
+    n = max(len(odd), len(even))
+    odd += [(y, 0)] * (n - len(odd))
+    even += [(0, 0)] * (n - len(even))
+    return Weight(tuple(chain.from_iterable(zip(odd, even))), y)
 
 
 def enumerate_diagrams(max_cols: int, max_len: int) -> list[YoungDiagram]:

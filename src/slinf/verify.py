@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from pathlib import Path
 
 from .cls_codes import (
@@ -537,36 +537,29 @@ def _diagram_condition_rows(family: list[Ideal], padded: bool) -> list[int]:
 
 
 def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
-    n, family, actual_rows = _ideal_rows(grid, ceiling, "tord-discrepancy", lambda n: 3 * n * n)
-    checked = 3 * n * n
+    n, family, actual = _ideal_rows(grid, ceiling, "tord-discrepancy", lambda n: 3 * n * n)
+    padded = _diagram_condition_rows(family, padded=True)
+    loose = _diagram_condition_rows(family, padded=False)
+
+    def count(over: list[int], under: list[int]) -> int:
+        return sum((o & ~u).bit_count() for o, u in zip(over, under))
+
+    def pairs(over: list[int], under: list[int]):
+        # the pairs of over & ~under, in pair order; only stored pairs are walked
+        for inner, o, u in zip(family, over, under):
+            for j in bit_indices(o & ~u):
+                yield {"inner": inner.to_json(), "outer": family[j].to_json()}
+
     bad = _Collector()
-    padded_missed = padded_unsound = loose_missed = loose_unsound = 0
-    padded_missed_sample: list[dict] = []
+    for pair in pairs(padded, actual):
+        # the one direction that would invalidate the printed form even as
+        # documentation: it must stay sound
+        bad.add({"law": "printed-condition-unsound", **pair})
     required_inner, required_outer = Ideal(0, 1, (), ()), AUGMENTATION_IDEAL
-    required_seen = False
-    padded_rows = _diagram_condition_rows(family, padded=True)
-    loose_rows = _diagram_condition_rows(family, padded=False)
-    # counts come from the rows; pairs are walked one at a time only where
-    # they are stored, in pair order
-    for inner, actual, padded, loose in zip(family, actual_rows, padded_rows, loose_rows):
-        unsound, missed = padded & ~actual, actual & ~padded
-        padded_unsound += unsound.bit_count()
-        padded_missed += missed.bit_count()
-        loose_unsound += (loose & ~actual).bit_count()
-        loose_missed += (actual & ~loose).bit_count()
-        for j in bit_indices(unsound):
-            # the one direction that would invalidate the printed form even
-            # as documentation: it must stay sound
-            bad.add({
-                "law": "printed-condition-unsound",
-                "inner": inner.to_json(), "outer": family[j].to_json(),
-            })
-        for j in bit_indices(missed):
-            if len(padded_missed_sample) == 10:
-                break
-            padded_missed_sample.append({"inner": inner.to_json(), "outer": family[j].to_json()})
-        if inner == required_inner:  # the augmentation ideal is in every family _blocks accepts
-            required_seen = bool(missed >> family.index(required_outer) & 1)
+    # the augmentation ideal is in every family _blocks accepts
+    required_seen = required_inner in family and bool(
+        (actual[i := family.index(required_inner)] & ~padded[i]) >> family.index(required_outer) & 1
+    )
     if not required_seen:
         bad.add({
             "law": "expected-discrepancy-instance-missing",
@@ -575,17 +568,14 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     details = {
         "family": n,
         "padded_reading": {
-            "unsound_cases": padded_unsound,
-            "missed_inclusions": padded_missed,
-            "sample_missed": padded_missed_sample,
+            "unsound_cases": count(padded, actual),
+            "missed_inclusions": count(actual, padded),
+            "sample_missed": list(islice(pairs(actual, padded), 10)),
             "expected_instance_shown": required_seen,
         },
-        "unpadded_reading": {
-            "unsound_cases": loose_unsound,
-            "missed_inclusions": loose_missed,
-        },
+        "unpadded_reading": {"unsound_cases": count(loose, actual), "missed_inclusions": count(actual, loose)},
     }
-    return _finish("tord-discrepancy", grid, checked, bad, details)
+    return _finish("tord-discrepancy", grid, 3 * n * n, bad, details)
 
 
 # the lambdas look their kernels up when called, so wrappers later set on

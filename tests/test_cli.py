@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slinf.cli import main
-from slinf.ideals import make_weight
+from slinf.ideals import enumerate_ideals, highest_weight, make_weight
 from slinf.verify import load_grid_config, suite_names
 
-GOLDEN_HELP = Path(__file__).resolve().parent / "golden" / "help"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_HELP = GOLDEN / "help"
 
 
 def run(capsys, *argv):
@@ -125,6 +127,17 @@ def test_ideal_cls_and_weight(capsys):
     assert json.loads(out) == {"explicit": {"1": [2, 0], "2": [1, 0]}, "odd_tail": 0}
     # code-based verbs reject the zero ideal
     assert run(capsys, "ideal", "cls", '{"zero":true}')[0] == 2
+
+
+def test_weight_and_ideal_cls_answers_are_unchanged(capsys):
+    # one sha256 over the frozen family: each highest weight's JSON and text, and what `ideal cls` prints
+    digest = hashlib.sha256()
+    for ideal in enumerate_ideals(2, 2, 2, 2):
+        weight = highest_weight(ideal)
+        code, out, err = run(capsys, "ideal", "cls", json.dumps(ideal.to_json()))
+        assert (code, err) == (0, "")
+        digest.update(f"{json.dumps(weight.to_json(), sort_keys=True)}\n{weight}\n{out}".encode())
+    assert digest.hexdigest() == (GOLDEN / "ideal-answers.sha256").read_text(encoding="utf-8").strip()
 
 
 def test_ideal_upset(capsys):
@@ -340,7 +353,7 @@ def test_ideal_cls_and_weight_refuse_long_answers_before_building(capsys, monkey
     def forbidden(*args):
         raise AssertionError("the answer was built")
 
-    monkeypatch.setattr("slinf.cli.cls_union", forbidden)
+    monkeypatch.setattr("slinf.cli.split_code", forbidden)
     monkeypatch.setattr("slinf.cli.highest_weight", forbidden)
     for verb in ("cls", "weight"):
         start = time.process_time()
@@ -349,7 +362,8 @@ def test_ideal_cls_and_weight_refuse_long_answers_before_building(capsys, monkey
         assert err.startswith("error: ") and "more than 10000000 printed integers" in err, err
         assert time.process_time() - start < 1
     # the largest accepted x with empty diagrams: 4 (x + 1) and 3 x + 1 integers
-    monkeypatch.setattr("slinf.cli.cls_union", lambda ideal: frozenset())
+    # `ideal cls` writes its codes as they are made, so a writer that takes none builds none
+    monkeypatch.setattr("slinf.cli._emit_each", lambda items: None)
     monkeypatch.setattr("slinf.cli.highest_weight", lambda ideal: make_weight({}, 0))
     for verb, largest in (("cls", 2_499_999), ("weight", 3_333_333)):
         assert run(capsys, "ideal", verb, json.dumps({"x": largest}))[0] == 0

@@ -194,6 +194,22 @@ def test_weight_normalization_and_equality():
     assert make_weight({1: (2, 0)}, 0) != make_weight({1: (2, 0)}, 1)
 
 
+def test_weight_refuses_bad_positions_and_tails():
+    with pytest.raises(ValueError, match="1-indexed"):
+        make_weight({0: (1, 0)}, 0)
+    with pytest.raises(ValueError, match="1-indexed"):
+        make_weight({1: (1, 0)}, 0).coefficient(0)
+    with pytest.raises(ValueError, match="odd_tail"):
+        make_weight({}, -1)
+
+
+def test_weight_keeps_a_trailing_zero_that_differs_from_the_odd_tail():
+    w = make_weight({5: (0, 0)}, 2)
+    assert w.to_json() == {"explicit": {"5": [0, 0]}, "odd_tail": 2}
+    assert str(w) == "(0)e5 [odd tail 2]"
+    assert [w.coefficient(i) for i in range(1, 8)] == [(0, 0)] * 5 + [(0, 0), (2, 0)]
+
+
 def test_weight_json():
     w = highest_weight(Ideal(1, 0, (), (1,)))
     assert w.to_json() == {"explicit": {"1": [0, 1], "2": [1, 0]}, "odd_tail": 0}
