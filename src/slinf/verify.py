@@ -545,7 +545,7 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
         return sum((o & ~u).bit_count() for o, u in zip(over, under))
 
     def pairs(over: list[int], under: list[int]):
-        # the pairs of over & ~under, in pair order; only stored pairs are walked
+        # the pairs of over & ~under, in pair order; counts read the rows instead
         for inner, o, u in zip(family, over, under):
             for j in bit_indices(o & ~u):
                 yield {"inner": inner.to_json(), "outer": family[j].to_json()}

@@ -194,20 +194,18 @@ def test_weight_normalization_and_equality():
     assert make_weight({1: (2, 0)}, 0) != make_weight({1: (2, 0)}, 1)
 
 
-def test_weight_refuses_bad_positions_and_tails():
+def test_weight_refusals_and_a_kept_trailing_zero():
     with pytest.raises(ValueError, match="1-indexed"):
         make_weight({0: (1, 0)}, 0)
     with pytest.raises(ValueError, match="1-indexed"):
         make_weight({1: (1, 0)}, 0).coefficient(0)
     with pytest.raises(ValueError, match="odd_tail"):
         make_weight({}, -1)
-
-
-def test_weight_keeps_a_trailing_zero_that_differs_from_the_odd_tail():
+    # a (0, 0) at an odd position differs from a nonzero odd tail, so it stays listed
     w = make_weight({5: (0, 0)}, 2)
     assert w.to_json() == {"explicit": {"5": [0, 0]}, "odd_tail": 2}
     assert str(w) == "(0)e5 [odd tail 2]"
-    assert [w.coefficient(i) for i in range(1, 8)] == [(0, 0)] * 5 + [(0, 0), (2, 0)]
+    assert [w.coefficient(i) for i in range(1, 8)] == [(0, 0)] * 6 + [(2, 0)]
 
 
 def test_weight_json():
