@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from functools import cache
+from typing import Iterable, Iterator, Sequence
 
 from . import verify
 from .cls_codes import ClsCode, code_included
@@ -64,16 +65,39 @@ def _emit(value) -> None:
     print(json.dumps(value, sort_keys=True))
 
 
-def _emit_each(items: Iterable) -> None:
-    """Print json.dumps(list(items), sort_keys=True), writing each item as it is made.
+def _emit_each(texts: Iterable[str], opening: str = "[", closing: str = "]") -> None:
+    """Print opening, the encoded items joined by ", ", closing and a newline, writing each item as it is made.
 
-    Nothing is written before the first item is made, so a refusal there prints only its error line.
+    With the default brackets and items encoded by json.dumps(item, sort_keys=True)
+    this prints json.dumps(list(items), sort_keys=True).  Nothing is written
+    before the first item is made, so a refusal there prints only its error line.
     """
-    opening = "["
-    for item in items:
-        sys.stdout.write(opening + json.dumps(item, sort_keys=True))
-        opening = ", "
-    sys.stdout.write("[]\n" if opening == "[" else "]\n")
+    write = sys.stdout.write
+    separator = opening
+    for text in texts:
+        write(separator + text)
+        separator = ", "
+    if separator is opening:  # no item: the opening is still due
+        write(opening)
+    write(closing + "\n")
+
+
+def _decimal_order(n: int) -> Iterator[int]:
+    """1..n in the order of their decimal strings, "1", "10", "11", ..., "2", ...: how sort_keys orders them.
+
+    A walk over the digits: after p comes 10p if that is in range, else the
+    next number after p with at most as many digits, trailing 9s and
+    numbers past n dropped first.
+    """
+    p = 1
+    for _ in range(n):
+        yield p
+        if p * 10 <= n:
+            p *= 10
+        else:
+            while p % 10 == 9 or p >= n:
+                p //= 10
+            p += 1
 
 
 def _finish_bool(value: bool) -> int:
@@ -168,7 +192,7 @@ def _cmd_ideal_cls(args) -> int:
     count = (ideal.x + 1) * (4 + len(ideal.yl) + len(ideal.yr))
     _refuse_past_ceiling(count, f"the codes of {ideal}", "printed integers", "the ideal's x")
     # the splits c = 0..x come in ClsCode.sort_key order, as the p half has c infinities
-    _emit_each(split_code(ideal, c).to_json() for c in range(ideal.x + 1))
+    _emit_each(json.dumps(split_code(ideal, c).to_json(), sort_keys=True) for c in range(ideal.x + 1))
     return 0
 
 
@@ -178,7 +202,12 @@ def _cmd_ideal_weight(args) -> int:
     # the right columns, and past them as many odd positions padded with y
     count = 3 * (ideal.x + len(ideal.yl) + 2 * len(ideal.yr)) + 1
     _refuse_past_ceiling(count, f"the highest weight of {ideal}", "printed integers", "the ideal's x")
-    _emit(highest_weight(ideal).to_json())
+    weight = highest_weight(ideal)
+    # Weight.to_json with sort_keys, written entry by entry in the key order sort_keys gives
+    entries = weight._listed(_decimal_order(len(weight.coefficients)))
+    _emit_each(
+        (f'"{i}": [{u}, {v}]' for i, (u, v) in entries), '{"explicit": {', f'}}, "odd_tail": {weight.odd_tail}}}'
+    )
     return 0
 
 
@@ -186,8 +215,12 @@ def _cmd_ideal_upset(args) -> int:
     ideal = _parse_ideal(args.ideal)
     size = upset_size(ideal, args.cap, verify.DEFAULT_CEILING)
     _refuse_past_ceiling(size, f"the upset of {ideal}", "inclusion checks", "--cap or the ideal's x")
-    found = containing_ideals(ideal, args.cap)
-    _emit([ideal.to_json() for ideal in found])
+    # Ideal.to_json with sort_keys, one f-string per ideal; each distinct diagram is encoded once
+    diagram = cache(lambda yd: json.dumps(list(yd)))
+    _emit_each(
+        f'{{"x": {i.x}, "y": {i.y}, "yl": {diagram(i.yl)}, "yr": {diagram(i.yr)}}}'
+        for i in containing_ideals(ideal, args.cap)
+    )
     return 0
 
 

@@ -126,8 +126,18 @@ def seq_leq_shifted(inner: ExtSequence, outer: ExtSequence, a: int) -> bool:
     """
     if a < 0:
         raise ValueError("the shift a must be >= 0")
+    return _below_shifted(_aligned_values(inner, outer), a)
+
+
+def _aligned_values(inner: ExtSequence, outer: ExtSequence) -> list[tuple[int | float, int | float]]:
+    """(inner_i, outer_i) at the positions seq_leq_shifted reads: both explicit parts plus one tail position."""
     n = max(inner.significant_length, outer.significant_length) + 1
-    return all(inner.value_at(i) <= outer.value_at(i) - a for i in range(1, n + 1))
+    return [(inner.value_at(i), outer.value_at(i)) for i in range(1, n + 1)]
+
+
+def _below_shifted(values, a: int) -> bool:
+    """The pointwise test of seq_leq_shifted on aligned values: inner_i <= outer_i - a at every position."""
+    return all(low <= high - a for low, high in values)
 
 
 def seq_slack(inner: ExtSequence, outer: ExtSequence) -> int | float:
@@ -191,12 +201,13 @@ def code_included_oracle(inner: ClsCode, outer: ClsCode) -> bool:
 def _shift_masks(inner: ExtSequence, outer: ExtSequence) -> tuple[int, int]:
     """The shifts a in 0..d with seq_leq_shifted(inner, outer, a), as bit a of one mask and bit d - a of another.
 
-    d = outer.tail - inner.tail; both masks are 0 when d < 0.  Each shift is
-    tested pointwise, with no antitonicity and no slack, so the oracle
-    stays an independent reference.
+    d = outer.tail - inner.tail; both masks are 0 when d < 0.  The two value
+    lists are read once, and each shift is tested on them pointwise, with no
+    antitonicity and no slack, so the oracle stays an independent reference.
     """
     d = outer.tail - inner.tail
-    fits = [a for a in range(d + 1) if seq_leq_shifted(inner, outer, a)]
+    values = _aligned_values(inner, outer)
+    fits = [a for a in range(d + 1) if _below_shifted(values, a)]
     return sum(1 << a for a in fits), sum(1 << (d - a) for a in fits)
 
 

@@ -10,10 +10,11 @@ code per split c + d = x) -- the route that reproduces the maximality and
 ascending-chain corollaries.  A single ideal pair compares the outer ideal's
 (x, 0) split with the inner ideal's codes, reading the code slacks directly
 from the diagram columns (``is_contained``); an upset compares codes for
-every candidate at once (``containing_ideals``); a whole family is decided on
-each outer ideal's (x, 0) split by bitset rows over the codes
-(``inclusion_rows``), and the ``split-consistency`` suite replays those rows
-against the full code unions.  Every route rests on one slack form:
+every candidate at once and comes out in canonical order with no sort
+(``containing_ideals``); a whole family is decided on each outer ideal's
+(x, 0) split by bitset rows over the codes (``inclusion_rows``), and the
+``split-consistency`` suite replays those rows against the full code
+unions.  Every route rests on one slack form:
 a split a + b = d fits under two slacks s_p, s_q iff s_p >= 0, s_q >= 0 and
 s_p + s_q >= d (``code_included``).  A direct closed-form condition on the
 diagram columns exists in the literature but disagrees with those corollaries
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, combinations_with_replacement
 from operator import or_, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .cls_codes import (
     INF,
@@ -312,10 +313,13 @@ class Weight:
             return self.coefficients[index - 1]
         return self._past_end(index)
 
-    def _listed(self) -> Iterator[tuple[int, tuple[int, int]]]:
-        # (position, coefficient) for the nonzero coefficients and the last one
-        last = len(self.coefficients)
-        return ((i, c) for i, c in enumerate(self.coefficients, 1) if c != (0, 0) or i == last)
+    def _listed(self, positions: Iterable[int] | None = None) -> Iterator[tuple[int, tuple[int, int]]]:
+        # (position, coefficient) for the nonzero coefficients and the last one,
+        # read at the given positions of the tuple (all of them, in order, by default)
+        coefficients, last = self.coefficients, len(self.coefficients)
+        if positions is None:
+            positions = range(1, last + 1)
+        return ((i, c) for i in positions if (c := coefficients[i - 1]) != (0, 0) or i == last)
 
     def to_json(self) -> dict:
         return {"explicit": {str(i): list(c) for i, c in self._listed()}, "odd_tail": self.odd_tail}
@@ -466,6 +470,11 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     more infinities than k.p.  The set bits are exactly the R with
     is_contained(ideal, J), which reaches the same order by column slacks
     instead of code slacks, so the pointwise test compares two routes.
+
+    The tables of every y' are built first, and the candidates are then
+    read x' by x', y' by y', left diagram by left diagram and right diagram
+    by bit: the diagrams are enumerated sorted, so the upset comes out in
+    canonical (Ideal.sort_key) order with no sort.
     """
     if ideal.zero:
         raise ValueError("the upset of the zero ideal is the whole lattice; enumerate a family instead")
@@ -476,15 +485,19 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     right = enumerate_diagrams(width_cap, max_r)
     codes = [split_code(ideal, c0) for c0 in range(ideal.x + 1)]
     full = (1 << len(right)) - 1
-    found = []
+    tables = []  # tables[y][c0][t], the covered masks of each y' = y
     for y in range(ideal.y + 1):
-        d = ideal.y - y
         right_halves = [code_sequence(0, y, yr) for yr in right]
         covered = []
         for code in codes:
             slacks = [seq_slack(half, code.q) for half in right_halves]
-            covered.append([sum(1 << j for j, s in enumerate(slacks) if s >= t) for t in range(d + 1)])
-        for x in range(ideal.x + 1):
+            covered.append([sum(1 << j for j, s in enumerate(slacks) if s >= t) for t in range(ideal.y - y + 1)])
+        tables.append(covered)
+    found = []
+    # x, y, the sorted left diagrams and the right ones in bit order: Ideal.sort_key order, so nothing is sorted
+    for x in range(ideal.x + 1):
+        for y, covered in enumerate(tables):
+            d = ideal.y - y
             for yl in left:
                 left_half = code_sequence(x, y, yl)
                 row = 0
@@ -495,4 +508,4 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
                         if row == full:
                             break
                 found.extend(Ideal._trusted(x, y, yl, right[j]) for j in bit_indices(row))
-    return sorted(found, key=Ideal.sort_key)
+    return found

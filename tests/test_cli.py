@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slinf.cli import main
-from slinf.ideals import enumerate_ideals, highest_weight, make_weight
+from slinf.ideals import Ideal, containing_ideals, enumerate_ideals, highest_weight, make_weight
 from slinf.verify import load_grid_config, suite_names
+from test_ideals import LATTICE_UPSETS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_HELP = GOLDEN / "help"
@@ -147,6 +148,37 @@ def test_ideal_upset(capsys):
         {"x": 0, "y": 0, "yl": [], "yr": []},
         {"x": 0, "y": 0, "yl": [1], "yr": []},
     ]
+
+
+def upset_json(ideal, cap):
+    """What `ideal upset` prints, by definition: the JSON list of containing_ideals, keys sorted."""
+    return json.dumps([found.to_json() for found in containing_ideals(ideal, cap)], sort_keys=True) + "\n"
+
+
+def test_ideal_upset_prints_the_upset_json_byte_for_byte(capsys):
+    for ideal in enumerate_ideals(1, 1, 2, 1):
+        for cap in range(4):
+            argv = ["ideal", "upset", json.dumps(ideal.to_json()), "--cap", str(cap)]
+            assert run(capsys, *argv) == (0, upset_json(ideal, cap), ""), argv
+
+
+def test_lattice_upset_answers_are_unchanged(capsys):
+    # the benchmark's four upsets: byte for byte by definition, and one sha256 over their output
+    digest = hashlib.sha256()
+    for ideal in LATTICE_UPSETS:
+        code, out, err = run(capsys, "ideal", "upset", json.dumps(ideal.to_json()), "--cap", "4")
+        assert (code, out, err) == (0, upset_json(ideal, 4), "")
+        digest.update(out.encode())
+    assert digest.hexdigest() == (GOLDEN / "lattice-upsets.sha256").read_text(encoding="utf-8").strip()
+
+
+def test_ideal_weight_prints_the_weight_json_byte_for_byte(capsys):
+    # sort_keys orders the position keys as strings, "1", "10", "100", "101", ..., "2";
+    # x from 9 to 123 makes 1-, 2- and 3-digit keys meet
+    wide = [Ideal(x, y, yl, yr) for x in (9, 10, 11, 99, 100, 123) for y, yl, yr in ((0, (), ()), (2, (3, 1), (2, 2, 1)))]
+    for ideal in enumerate_ideals(2, 2, 2, 2) + wide:
+        expected = json.dumps(highest_weight(ideal).to_json(), sort_keys=True) + "\n"
+        assert run(capsys, "ideal", "weight", json.dumps(ideal.to_json())) == (0, expected, ""), ideal
 
 
 def test_ideal_hasse_dot_and_json(capsys):
@@ -362,8 +394,8 @@ def test_ideal_cls_and_weight_refuse_long_answers_before_building(capsys, monkey
         assert err.startswith("error: ") and "more than 10000000 printed integers" in err, err
         assert time.process_time() - start < 1
     # the largest accepted x with empty diagrams: 4 (x + 1) and 3 x + 1 integers
-    # `ideal cls` writes its codes as they are made, so a writer that takes none builds none
-    monkeypatch.setattr("slinf.cli._emit_each", lambda items: None)
+    # both write their answers as they are made, so a writer that takes none builds none
+    monkeypatch.setattr("slinf.cli._emit_each", lambda *args: None)
     monkeypatch.setattr("slinf.cli.highest_weight", lambda ideal: make_weight({}, 0))
     for verb, largest in (("cls", 2_499_999), ("weight", 3_333_333)):
         assert run(capsys, "ideal", verb, json.dumps({"x": largest}))[0] == 0

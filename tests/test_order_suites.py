@@ -52,11 +52,12 @@ def count_calls(monkeypatch, name: str, modules=(cls_codes, ideals, verify)) -> 
 
 def test_code_slack_reads_its_split_search_from_one_table(monkeypatch):
     oracle = count_calls(monkeypatch, "code_included_oracle")
-    shifts = count_calls(monkeypatch, "seq_leq_shifted")
+    shifts = count_calls(monkeypatch, "_below_shifted")
     report = verify.run_suite("code-slack")
     assert report.failed == 0 and report.details == {"codes": 1305, "sequences": 57}
-    # one set of shift masks per pair of the 57 sequences, d + 1 tests each
-    # (3 519 in all); the split search per pair of codes made 1 703 025 calls
+    # one set of shift masks per pair of the 57 sequences, d + 1 pointwise
+    # tests each (3 519 in all); the split search per pair of codes made
+    # 1 703 025 seq_leq_shifted calls
     assert oracle[0] == 0
     assert shifts[0] <= 57**2 * 3
 
@@ -103,10 +104,11 @@ def test_code_slack_reports_exactly_the_injected_fault(monkeypatch, fault, faile
         rows[1] ^= 1 << 0
         monkeypatch.setattr(verify, "code_rows", lambda cs: list(rows) if cs == codes else pytest.fail())
     else:
-        # 3, 1, 1, ... is not below 3, 3, 2, ... shifted down by 1: say it is
-        flipped = (ExtSequence(0, (3,), 1), ExtSequence(0, (3, 3), 2), 1)
-        original = cls_codes.seq_leq_shifted
-        monkeypatch.setattr(cls_codes, "seq_leq_shifted", lambda *args: original(*args) != (args == flipped))
+        # 3, 1, 1, ... is not below 3, 3, 2, ... shifted down by 1: say it is, in
+        # the pointwise test that seq_leq_shifted and the shift masks share
+        flipped = (cls_codes._aligned_values(ExtSequence(0, (3,), 1), ExtSequence(0, (3, 3), 2)), 1)
+        original = cls_codes._below_shifted
+        monkeypatch.setattr(cls_codes, "_below_shifted", lambda *args: original(*args) != (args == flipped))
     report = verify.run_suite("code-slack", CODE_GRID)
     assert (report.failed, report.counterexamples) == code_slack_reference(codes, rows)
     assert report.failed == failed
