@@ -27,14 +27,18 @@ canonicalizes them) and then calls a private kernel on the validated
 tuples: ``_chain_oracle``, ``_interlaces``, ``_gap_criterion``,
 ``_equal_ends``, ``_tight_gaps`` and ``_wide_window``.  A kernel keeps only
 the checks that relate its two arguments, such as the oracle's depth limit.
-The verify suites validate each grid class once and call the kernels pair
-by pair, so a pair costs no validation; wrappers set on the public names
-see no suite pairs.
+Two kernels also come as columns, the answers of one lam against a list of
+mus of one width: ``_oracle_column`` and ``_gap_column``.  The checks that
+read only the widths run once per column, so a column answers, and refuses,
+as its per-pair kernel would on each of its pairs in order.  The verify
+suites validate each grid class once and call the kernels, so a pair costs
+no validation; wrappers set on the public names see no suite pairs.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from operator import sub
 from typing import Sequence
 
 from .partitions import ShiftClass, ZPartition, _first_child, _iter_children, as_zpartition, canonicalize
@@ -102,6 +106,18 @@ def _chain_oracle(top: ShiftClass, target: ShiftClass) -> bool:
     return _dominates(top, target)
 
 
+def _oracle_column(target: ShiftClass, tops: list[ShiftClass]) -> list[bool]:
+    # [_chain_oracle(top, target) for top in tops], for a nonempty list of
+    # tops of one width: the width checks are made once, and each top gets
+    # the spread test and the memoized search in order, so the memo holds the
+    # same pairs as under the per-pair calls
+    gap = len(tops[0]) - len(target)
+    if not 0 <= gap <= MAX_CHAIN_DEPTH:
+        return [_chain_oracle(tops[0], target)] * len(tops)  # False, or the depth refusal
+    floor = target[0]
+    return [top[0] >= floor and _dominates(top, target) for top in tops]
+
+
 def dominates_interlace(lam: Sequence[int], mu: Sequence[int]) -> bool:
     """Closed-form dominance test: some shift of mu interlaces lam.
 
@@ -118,9 +134,7 @@ def _interlaces(lam: ZPartition, mu: ZPartition) -> bool:
     gap = len(lam) - len(mu)
     if gap < 0:
         return False
-    lo = max(lam[i + gap] - mu[i] for i in range(len(mu)))
-    hi = min(lam[i] - mu[i] for i in range(len(mu)))
-    return lo <= hi
+    return max(map(sub, lam[gap:], mu)) <= min(map(sub, lam, mu))
 
 
 def is_gt_step(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -152,6 +166,24 @@ def _gap_criterion(mu: ZPartition, lam: ZPartition) -> bool:
             if mu[k] - mu[off + l] < lam[k] - lam[l]:
                 return False
     return True
+
+
+def _gap_column(lam: ZPartition, mus: list[ZPartition]) -> list[bool]:
+    # [_gap_criterion(mu, lam) for mu in mus], for a nonempty list of mus of
+    # one width, with lam's index pairs and their gaps listed once
+    off = len(mus[0]) - len(lam)
+    if off < 0:
+        return [_gap_criterion(mus[0], lam)] * len(mus)  # the narrow-mu refusal
+    pairs = [(k, off + l, lam[k] - lam[l]) for k in range(len(lam)) for l in range(k + 1, len(lam))]
+    answers = []
+    for mu in mus:
+        for k, j, gap in pairs:
+            if mu[k] - mu[j] < gap:
+                answers.append(False)
+                break
+        else:
+            answers.append(True)
+    return answers
 
 
 def equal_ends_hypotheses(lam: Sequence[int], mu: Sequence[int]) -> bool:

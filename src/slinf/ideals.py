@@ -297,7 +297,11 @@ class Weight:
     def __post_init__(self):
         if self.odd_tail < 0:
             raise ValueError("odd_tail must be >= 0")
-        coefficients = [(int(u), int(v)) for u, v in self.coefficients]
+        # a pair that is already a 2-tuple of exact ints is kept, not copied
+        coefficients = [
+            c if type(c) is tuple and len(c) == 2 and type(c[0]) is int and type(c[1]) is int else _int_pair(c)
+            for c in self.coefficients
+        ]
         while coefficients and coefficients[-1] == self._past_end(len(coefficients)):
             coefficients.pop()
         object.__setattr__(self, "coefficients", tuple(coefficients))
@@ -327,6 +331,11 @@ class Weight:
     def __str__(self) -> str:
         body = " + ".join(f"({_coefficient_str(c)})e{i}" for i, c in self._listed()) or "0"
         return f"{body} [odd tail {self.odd_tail}]"
+
+
+def _int_pair(pair) -> tuple[int, int]:
+    u, v = pair
+    return int(u), int(v)
 
 
 def _coefficient_str(coeff: tuple[int, int]) -> str:

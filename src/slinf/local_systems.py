@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dominance import _gap_criterion, dominates_interlace
+from .dominance import _gap_column, _gap_criterion, dominates_interlace
 from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
 
 
@@ -97,8 +97,9 @@ def gap_union_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
     mu belongs iff mu_k - mu_{#mu - #lam + l} < lam_k - lam_l for some pair
     1 <= k < l <= #lam, or #mu < #lam.  Needs #lam >= 2 (no pairs exist
     otherwise).  The same test as gap_system_contains over every pair, with
-    mu validated once.  The ``pmain`` suite calls the kernel
-    ``_gap_union`` on classes it has validated.
+    mu validated once.  The ``pmain`` suite calls ``_gap_union_column``, the
+    kernel ``_gap_union`` over the mus of one width, on classes it has
+    validated.
     """
     lam = as_zpartition(lam)
     return _gap_union(lam, as_zpartition(mu))
@@ -110,6 +111,13 @@ def _gap_union(lam: ZPartition, mu: ZPartition) -> bool:
     if len(lam) < 2:
         raise ValueError("the gap union needs a partition of width >= 2")
     return len(mu) < len(lam) or not _gap_criterion(mu, lam)
+
+
+def _gap_union_column(lam: ZPartition, mus: list[ZPartition]) -> list[bool]:
+    # [_gap_union(lam, mu) for mu in mus], for a nonempty list of mus of one width
+    if len(lam) < 2 or len(mus[0]) < len(lam):
+        return [_gap_union(lam, mus[0])] * len(mus)  # the width refusal, or every mu admitted
+    return [not fits for fits in _gap_column(lam, mus)]
 
 
 def gap_union_system(lam: Sequence[int]) -> LocalSystem:

@@ -130,7 +130,9 @@ def _first_child(lam: ShiftClass, floor: int) -> ShiftClass | None:
     d = min(lam[-2], lam[0] - floor)
     if d < 0:
         return None
-    return (max(lam[1] - d, floor), *(v - d for v in lam[2:-1]), 0)
+    if d == 0:  # lam's own tail, which ends in 0
+        return (max(lam[1], floor), *lam[2:])
+    return tuple([max(lam[1] - d, floor), *[v - d for v in lam[2:-1]], 0])
 
 
 def gt_children(lam: Sequence[int]) -> frozenset[ShiftClass]:

@@ -32,7 +32,7 @@ from .cls_codes import (
     or_of_rows,
     seq_slack,
 )
-from .dominance import _chain_oracle, _equal_ends, _gap_criterion, _interlaces, _tight_gaps, _wide_window
+from .dominance import _chain_oracle, _equal_ends, _gap_column, _interlaces, _oracle_column, _tight_gaps, _wide_window
 from .ideals import (
     AUGMENTATION_IDEAL,
     Ideal,
@@ -46,7 +46,7 @@ from .ideals import (
     inclusion_rows_checks,
     is_contained,
 )
-from .local_systems import _gap_union
+from .local_systems import _gap_union_column
 from .partitions import ShiftClass, YoungDiagram, as_array, as_int, canonicalize, class_count, enumerate_classes
 
 DEFAULT_CEILING = 10_000_000
@@ -176,8 +176,10 @@ def suite_names() -> list[str]:
 # dominance suites
 #
 # Each suite validates every enumerated class once, with canonicalize, and
-# replays the predicates pair by pair through their kernels, which take
-# validated canonical tuples and keep only the checks relating the pair.
+# replays the predicates through their kernels, which take validated
+# canonical tuples and keep only the checks relating the pair.  The agreement
+# suites ask for a column of answers per lam and mu width, the others ask
+# pair by pair.
 
 
 def _classes(width: int, bound: int) -> list[ShiftClass]:
@@ -185,8 +187,15 @@ def _classes(width: int, bound: int) -> list[ShiftClass]:
     return [canonicalize(c) for c in enumerate_classes(width, bound)]
 
 
-def _agreement_suite(suite: str, first: str, first_fn, second: str, second_fn):
-    """A suite replaying two kernels of (lam, mu) against each other, narrow lam by wide mu."""
+def _agreement_suite(suite: str, first: str, first_column, second: str, second_column):
+    """A suite replaying two kernel columns of (lam, mus) against each other, narrow lam by wide mu.
+
+    A column answers one lam against the mus of one width, and refuses what
+    its per-pair kernel refuses on the first of them.  Refusals read only
+    the widths, so asking the first column and then the second, width by
+    width, raises the refusal the pairs would raise first.  Only columns that
+    differ are walked, in pair order, for their counterexamples.
+    """
 
     def run(grid: dict, ceiling: int) -> VerifyReport:
         lam_width, lam_bound = grid["lam_width"], grid["lam_bound"]
@@ -196,13 +205,14 @@ def _agreement_suite(suite: str, first: str, first_fn, second: str, second_fn):
         checked = n_lams * n_mus
         _guard(checked, ceiling, suite)
         bad = _Collector()
-        mus = [mu for w in mu_widths for mu in _classes(w, mu_bound)]
+        blocks = [_classes(w, mu_bound) for w in mu_widths]
         for lam in _classes(lam_width, lam_bound):
-            for mu in mus:
-                a = first_fn(lam, mu)
-                b = second_fn(lam, mu)
-                if a != b:
-                    bad.add({"lam": list(lam), "mu": list(mu), first: a, second: b})
+            for mus in blocks:
+                answers = first_column(lam, mus), second_column(lam, mus)
+                if answers[0] != answers[1]:
+                    for mu, a, b in zip(mus, *answers):
+                        if a != b:
+                            bad.add({"lam": list(lam), "mu": list(mu), first: a, second: b})
         return _finish(suite, grid, checked, bad, {"lam_classes": n_lams, "mu_classes": n_mus})
 
     return run
@@ -578,24 +588,19 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     return _finish("tord-discrepancy", grid, 3 * n * n, bad, details)
 
 
-# the lambdas look their kernels up when called, so wrappers later set on
-# this module's names still take effect; the public predicates are not called,
-# so wrappers on those see no suite pairs
+def _avoiding_column(lam: ShiftClass, mus: list[ShiftClass]) -> list[bool]:
+    """The avoiding system's membership through the chain oracle: mu belongs iff it does not dominate lam."""
+    return [not dominates for dominates in _oracle_column(lam, mus)]
+
+
+# the suites call kernels, not the public predicates, so wrappers on those
+# see no suite pairs
 _SUITES = {
-    "lgts2": _agreement_suite(
-        "lgts2",
-        "gap_criterion", lambda lam, mu: _gap_criterion(mu, lam),
-        "chain_oracle", lambda lam, mu: _chain_oracle(mu, lam),
-    ),
+    # the chain oracle asked whether each mu dominates lam
+    "lgts2": _agreement_suite("lgts2", "gap_criterion", _gap_column, "chain_oracle", _oracle_column),
     "interlace": _suite_interlace,
     "lemmas": _suite_lemmas,
-    # the avoiding system's membership replayed through the chain oracle:
-    # mu belongs iff it does not dominate lam
-    "pmain": _agreement_suite(
-        "pmain",
-        "avoiding_system", lambda lam, mu: not _chain_oracle(mu, lam),
-        "gap_union", lambda lam, mu: _gap_union(lam, mu),
-    ),
+    "pmain": _agreement_suite("pmain", "avoiding_system", _avoiding_column, "gap_union", _gap_union_column),
     "tiap-order": _suite_tiap_order,
     "code-slack": _suite_code_slack,
     "ideal-order": _suite_ideal_order,

@@ -17,9 +17,9 @@ from slinf.dominance import (
     tight_gaps_hypotheses,
     wide_window_hypotheses,
 )
-from slinf.local_systems import avoiding_system_contains
+from slinf.local_systems import _gap_union, _gap_union_column, avoiding_system_contains, gap_union_contains
 from slinf.partitions import _iter_children, canonicalize, enumerate_classes, gt_children, shift
-from slinf.verify import run_suite
+from slinf.verify import _SUITES, _agreement_suite, _avoiding_column, load_grid_config, run_suite
 
 small_partitions = st.lists(st.integers(-4, 4), min_size=1, max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -254,7 +254,7 @@ def test_oracle_decides_by_chain_search_alone(monkeypatch):
 
     closed_forms = (
         "dominates_interlace", "gap_criterion",
-        "_interlaces", "_gap_criterion", "_equal_ends", "_tight_gaps", "_wide_window",
+        "_interlaces", "_gap_criterion", "_gap_column", "_equal_ends", "_tight_gaps", "_wide_window",
     )
     for name in closed_forms:
         monkeypatch.setattr(dominance, name, forbidden)
@@ -264,6 +264,93 @@ def test_oracle_decides_by_chain_search_alone(monkeypatch):
     for lam in classes:
         for mu in classes:
             assert dominates_oracle(lam, mu) == dominates_reference(lam, mu), (lam, mu)
+    # the oracle column, by which the agreement suites ask, searches the same way
+    dominance._dominates.cache_clear()
+    for target in classes:
+        for width in range(1, 6):
+            tops = enumerate_classes(width, 3)
+            assert dominance._oracle_column(target, tops) == [dominates_reference(top, target) for top in tops]
+
+
+def answers_or_refusal(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_columns_equal_their_per_pair_kernels():
+    # every lam against the mus of each width, narrower ones and refusals included
+    dominance._dominates.cache_clear()
+    classes = {w: enumerate_classes(w, 4) for w in range(1, 7)}
+    columns = (
+        (dominance._oracle_column, lambda lam, mu: dominance._chain_oracle(mu, lam)),
+        (_avoiding_column, lambda lam, mu: not dominance._chain_oracle(mu, lam)),
+        (dominance._gap_column, lambda lam, mu: dominance._gap_criterion(mu, lam)),
+        (_gap_union_column, _gap_union),
+    )
+    for lam in all_classes(6, 4):
+        for mus in classes.values():
+            for column, kernel in columns:
+                expected = answers_or_refusal(lambda: [kernel(lam, mu) for mu in mus])
+                assert answers_or_refusal(lambda: column(lam, mus)) == expected, (column, lam, len(mus))
+    # the oracle's depth refusal, and a narrower top answered past it
+    deep = enumerate_classes(MAX_CHAIN_DEPTH + 3, 1)
+    for column, kernel in columns[:2]:
+        expected = answers_or_refusal(lambda: [kernel((1, 0), mu) for mu in deep])
+        assert "MAX_CHAIN_DEPTH" in expected
+        assert answers_or_refusal(lambda: column((1, 0), deep)) == expected
+        assert column(deep[0], [(1, 0), (0, 0)]) == [kernel(deep[0], mu) for mu in ((1, 0), (0, 0))]
+
+
+def test_cold_suites_memoize_the_parents_pairs():
+    # the columns ask the memoized search the same (intermediate, target)
+    # pairs as the per-pair calls did, so a cold suite leaves the same memo
+    for suite, misses in (("pmain", 41_898), ("lgts2", 21_944), ("interlace", 7_800)):
+        dominance._dominates.cache_clear()
+        assert run_suite(suite).failed == 0
+        assert dominance._dominates.cache_info().misses == misses, suite
+
+
+def per_pair_report(grid, first, first_fn, second, second_fn):
+    # an agreement suite as a plain loop over its pairs: (failed, stored counterexamples)
+    lams = enumerate_classes(grid["lam_width"], grid["lam_bound"])
+    mus = [mu for w in grid["mu_widths"] for mu in enumerate_classes(w, grid["mu_bound"])]
+    bad = []
+    for lam in lams:
+        for mu in mus:
+            a, b = first_fn(lam, mu), second_fn(lam, mu)
+            if a != b:
+                bad.append({"lam": list(lam), "mu": list(mu), first: a, second: b})
+    return len(bad), bad[:50]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"lam_bound": 2, "mu_widths": [4, 3], "mu_bound": 3}])
+def test_agreement_suites_report_counterexamples_in_pair_order(monkeypatch, overrides):
+    # a closed-form column flipped on every mu with mu[1] == 3 must fail the
+    # suite on exactly those pairs, stored in pair order
+    def flipped(mu):
+        return len(mu) > 1 and mu[1] == 3
+
+    def flip_column(column):
+        return lambda lam, mus: [answer != flipped(mu) for answer, mu in zip(column(lam, mus), mus)]
+
+    def flip_pair(fn):
+        return lambda lam, mu: fn(lam, mu) != flipped(mu)
+
+    cases = (
+        ("lgts2", "gap_criterion", flip_column(dominance._gap_column), flip_pair(lambda lam, mu: gap_criterion(mu, lam)),
+         "chain_oracle", dominance._oracle_column, lambda lam, mu: dominates_oracle(mu, lam)),
+        ("pmain", "avoiding_system", _avoiding_column, lambda lam, mu: not dominates_oracle(mu, lam),
+         "gap_union", flip_column(_gap_union_column), flip_pair(gap_union_contains)),
+    )
+    for suite, first, first_column, first_fn, second, second_column, second_fn in cases:
+        monkeypatch.setitem(_SUITES, suite, _agreement_suite(suite, first, first_column, second, second_column))
+        report = run_suite(suite, overrides)
+        grid = {**load_grid_config()["suites"][suite], **overrides}
+        failed, stored = per_pair_report(grid, first, first_fn, second, second_fn)
+        assert failed > 0 and (report.failed, report.counterexamples) == (failed, stored), suite
+        assert report.details.get("counterexamples_truncated", False) == (failed > 50), suite
 
 
 def test_oracle_never_materializes_a_child_set(monkeypatch):

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,6 +207,21 @@ def test_weight_refusals_and_a_kept_trailing_zero():
     assert w.to_json() == {"explicit": {"5": [0, 0]}, "odd_tail": 2}
     assert str(w) == "(0)e5 [odd tail 2]"
     assert [w.coefficient(i) for i in range(1, 8)] == [(0, 0)] * 6 + [(2, 0)]
+
+
+def test_weight_keeps_exact_int_pairs_and_coerces_the_rest():
+    # one nonzero entry far out: the 10**6 - 1 shared (0, 0) pairs are kept,
+    # not re-created, so the peak is the dense tuple and one list of it
+    tracemalloc.start()
+    try:
+        w = make_weight({10**6: (1, 0)}, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, peak
+    assert w.coefficient(10**6) == (1, 0) and w.coefficient(10**6 - 1) == (0, 0)
+    coerced = make_weight({1: (True, 2.0), 2: [3, 4]}, 0).coefficients
+    assert coerced == ((1, 2), (3, 4)) and all(type(c) is tuple and set(map(type, c)) == {int} for c in coerced)
 
 
 def test_weight_json():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slinf.dominance import (
+    MAX_CHAIN_DEPTH,
     dominates_interlace,
     dominates_oracle,
     equal_ends_hypotheses,
@@ -257,14 +258,28 @@ def test_pair_preconditions_refuse_through_entry_points_and_suites():
     # these checks relate the two arguments, so the kernels keep them and the
     # suites, which call the kernels on classes they validated, refuse the same way
     width_message = "the gap union needs a partition of width >= 2"
+
+    def depth_message(gap):
+        return (f"the chain oracle searches width gaps up to MAX_CHAIN_DEPTH = {MAX_CHAIN_DEPTH}, got {gap}; "
+                "decide wider inputs with dominates_interlace (--method interlace)")
+
     for call, message in (
         (lambda: gap_criterion((1, 0), (2, 1, 0)), "need #mu >= #lam, got 2 < 3"),
         (lambda: gap_union_contains((1,), (1, 0)), width_message),
         (lambda: run_suite("lgts2", {"lam_width": 3, "mu_widths": [2]}), "need #mu >= #lam, got 2 < 3"),
         (lambda: run_suite("pmain", {"lam_width": 1}), width_message),
+        # the first pair's chain search is refused before a later pair's narrow mu
+        (lambda: run_suite("lgts2", {"lam_width": 3, "lam_bound": 1, "mu_widths": [300, 2], "mu_bound": 1}),
+         depth_message(297)),
+        # at one pair the avoiding system's chain search comes before the gap union
+        (lambda: run_suite("pmain", {"lam_width": 1, "mu_widths": [300], "mu_bound": 1}), depth_message(299)),
+        (lambda: run_suite("pmain", {"lam_width": 1, "mu_widths": [2, 300], "mu_bound": 1}), width_message),
     ):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+    # the gap union admits every narrower mu, so pmain answers where lgts2 refuses
+    report = run_suite("pmain", {"lam_width": 3, "lam_bound": 1, "mu_widths": [2, 8], "mu_bound": 1})
+    assert (report.checked, report.failed) == (30, 0)
     with pytest.raises(ValueError, match="i must be a positive index"):
         wide_window_hypotheses((1, 0), (2, 1, 0), 0)
