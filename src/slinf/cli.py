@@ -127,7 +127,9 @@ def _cmd_dominates(args) -> int:
         return _finish_bool(dominates_oracle(lam, mu))
     if args.method == "interlace":
         return _finish_bool(dominates_interlace(lam, mu))
-    # the gap criterion characterizes dominance only from four times the width on
+    # the gap criterion is taken to characterize dominance from four times the
+    # width on; lgts2 checks that only on its grid (lam width 2, lam bound 3,
+    # mu widths 8-9, mu bound 6)
     if len(lam) < 4 * len(mu):
         raise ValueError(
             f"criterion4x needs the first partition at least 4 times as wide as the second, "

@@ -9,8 +9,9 @@ Inclusion between nonzero ideals is the order of their sequence codes (one
 code per split c + d = x) -- the route that reproduces the maximality and
 ascending-chain corollaries.  A single ideal pair compares the outer ideal's
 (x, 0) split with the inner ideal's codes, reading the code slacks directly
-from the diagram columns (``is_contained``); an upset compares codes for
-every candidate at once and comes out in canonical order with no sort
+from the diagram columns (``is_contained``); an upset decides every
+candidate at once from one table of column deficits, the same slacks
+negated, and comes out in canonical order with no sort
 (``containing_ideals``); a whole family is decided on each outer ideal's
 (x, 0) split by bitset rows over the codes (``inclusion_rows``), and the
 ``split-consistency`` suite replays those rows against the full code
@@ -38,7 +39,6 @@ from .cls_codes import (
     _order_rows,
     _split_fits,
     bit_indices,
-    seq_slack,
 )
 from .partitions import YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
 
@@ -158,6 +158,13 @@ def is_contained(inner: Ideal, outer: Ideal) -> bool:
     their tails, y plus a zero column; the padded column reading pads with
     zeros, and the positions it reads beyond seq_slack's compare 0 with 0.
     So this is code_included's slack criterion on those slacks.
+
+    The deficit form: a padded column slack is never positive, since at its
+    last index the inner column reads 0 and the outer one at least 0.  So
+    with the deficits e_L = -_column_slack(inner.yl, outer.yl, s, padded=True)
+    and e_R, the same on the right diagrams at shove dx - s, both >= 0, the
+    criterion _split_fits(dy, dy - e_L, dy - e_R) reduces to e_L + e_R <= dy:
+    inner <= outer iff some s in 0..dx has e_L + e_R <= dy.
     """
     if inner.zero or outer.zero:
         return inner.zero
@@ -225,12 +232,15 @@ def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> 
     being zero beyond their diagrams; the last padded index then gives a
     slack of at most 0, which forces a = b = 0, so the test rejects every
     inclusion where y strictly drops.  ``is_contained`` is this padded form
-    with both slacks shifted by dy (every code entry carries y), and that
-    missing shift is the disagreement the ``tord-discrepancy`` suite
-    reports.  With padded=False the inequalities are required only at the
-    inner ideal's actual column indices, which instead over-accepts when the
-    inner diagrams are short.  Documentation only: decisions always use
-    ``is_contained``.
+    with both slacks shifted by dy (every code entry carries y), and at
+    dy = 0 that shift is 0: so the padded reading holds exactly where
+    is_contained holds and y does not drop.  It is never unsound, and the
+    inclusions the ``tord-discrepancy`` suite reports it missing are exactly
+    those where y drops (tested, though the suite still evaluates the
+    printed condition on its own tables).  With padded=False the
+    inequalities are required only at the inner ideal's actual column
+    indices, which instead over-accepts when the inner diagrams are short.
+    Documentation only: decisions always use ``is_contained``.
     """
     if inner.zero or outer.zero:
         raise ValueError("the diagram condition is defined for nonzero ideals only")
@@ -435,11 +445,11 @@ def inclusion_rows_checks(max_x: int, max_y: int, max_cols: int, max_len: int, c
 def upset_size(ideal: Ideal, width_cap: int, cap: int) -> int:
     """How much work containing_ideals does: exact up to cap, some number past cap beyond it.
 
-    Per y', it decides (x + 1)·#left·#right candidates, fills the table of
-    right halves with (x + 1)·#right seq_slack calls (one per code of the
-    ideal), and decides the rows with up to sum_x' (x - x' + 1)·#left =
-    C(x + 2, 2)·#left more: row (x', L) tries the codes of splits x'..x.  So
-    the work grows as x**2 even when the candidates grow only as x.
+    Per y', it decides (x + 1)·#left·#right candidates, and decides the rows
+    with up to sum_x' (x - x' + 1)·#left = C(x + 2, 2)·#left left deficits:
+    row (x', y', L) tries the splits x'..x.  The (y + 1)(x + 1)·#right term
+    counts the table: (y + 1)(x + 1) masks over the right diagrams.  So the
+    work grows as x**2 even when the candidates grow only as x.
     """
     if ideal.zero or width_cap < 0:
         return 0  # containing_ideals refuses these before deciding anything
@@ -463,27 +473,17 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     is capped by width_cap because the full upset can be infinite (adding
     one-cell columns can absorb an exterior factor indefinitely).
 
-    Decided from one table of slacks, never candidate by candidate.  A
-    candidate J = (x', y', L, R) contains the ideal iff its (x', 0) split
-    (code_sequence(x', y', L), code_sequence(0, y', R)) is included in some
-    code k of the ideal: one split decides, by the argument of is_contained.
-    Those codes have limits y' and y, so by the slack criterion of
-    code_included, with d = y - y' >= 0, that holds for k iff
-    s_p = seq_slack(left half, k.p) >= 0 and seq_slack(right half, k.q) >= max(0, d - s_p).
-    The left half sees only (x', y', L) and the right half only (y', R), so
-    the test factors: per y' the right diagrams are tabulated once as
-    bitmasks, covered[c0][t] = {R : seq_slack(code_sequence(0, y', R), k.q) >= t}
-    for the code k of the ideal's split c0, and each (x', y', L) ORs
-    covered[c0][max(0, d - s_p)] over the codes with s_p >= 0.  Only the
-    splits c0 >= x' are tried, since s_p is -inf when the left half has
-    more infinities than k.p.  The set bits are exactly the R with
-    is_contained(ideal, J), which reaches the same order by column slacks
-    instead of code slacks, so the pointwise test compares two routes.
-
-    The tables of every y' are built first, and the candidates are then
-    read x' by x', y' by y', left diagram by left diagram and right diagram
-    by bit: the diagrams are enumerated sorted, so the upset comes out in
-    canonical (Ideal.sort_key) order with no sort.
+    Decided in is_contained's deficit form, never candidate by candidate:
+    J = (x', y', L, R) contains the ideal iff some split c0 in x'..x has
+    e_L(L, c0 - x') + e_R(R, x - c0) <= d = y - y'.  The right deficits see
+    neither x' nor y', so one table, within[c0][k] = {R : e_R(R, x - c0) <= k}
+    for k = 0..y as bitmasks over the right diagrams, serves every
+    candidate, and each (x', y', L) ORs within[c0][d - e_L] over the splits
+    with e_L <= d.  The candidates are read x' by x', y' by y', left diagram
+    by left diagram and right diagram by bit: the diagrams are enumerated
+    sorted, so the upset comes out in canonical (Ideal.sort_key) order with
+    no sort.  The tests check the answers against the full code unions
+    (union_included over cls_union), a route independent of this one.
     """
     if ideal.zero:
         raise ValueError("the upset of the zero ideal is the whole lattice; enumerate a family instead")
@@ -492,28 +492,22 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     max_l, max_r = _longest_columns(ideal)
     left = enumerate_diagrams(width_cap, max_l)
     right = enumerate_diagrams(width_cap, max_r)
-    codes = [split_code(ideal, c0) for c0 in range(ideal.x + 1)]
+    within = []  # within[c0][k]: the right diagrams of deficit <= k at shove x - c0
+    for c0 in range(ideal.x + 1):
+        deficits = [-_column_slack(ideal.yr, yr, ideal.x - c0, True) for yr in right]
+        within.append([sum(1 << j for j, e in enumerate(deficits) if e <= k) for k in range(ideal.y + 1)])
     full = (1 << len(right)) - 1
-    tables = []  # tables[y][c0][t], the covered masks of each y' = y
-    for y in range(ideal.y + 1):
-        right_halves = [code_sequence(0, y, yr) for yr in right]
-        covered = []
-        for code in codes:
-            slacks = [seq_slack(half, code.q) for half in right_halves]
-            covered.append([sum(1 << j for j, s in enumerate(slacks) if s >= t) for t in range(ideal.y - y + 1)])
-        tables.append(covered)
     found = []
     # x, y, the sorted left diagrams and the right ones in bit order: Ideal.sort_key order, so nothing is sorted
     for x in range(ideal.x + 1):
-        for y, covered in enumerate(tables):
+        for y in range(ideal.y + 1):
             d = ideal.y - y
             for yl in left:
-                left_half = code_sequence(x, y, yl)
                 row = 0
                 for c0 in range(x, ideal.x + 1):
-                    s_p = seq_slack(left_half, codes[c0].p)
-                    if s_p >= 0:
-                        row |= covered[c0][max(0, d - s_p)]
+                    e = -_column_slack(ideal.yl, yl, c0 - x, True)
+                    if e <= d:
+                        row |= within[c0][d - e]
                         if row == full:
                             break
                 found.extend(Ideal._trusted(x, y, yl, right[j]) for j in bit_indices(row))

@@ -284,23 +284,24 @@ def _suite_lemmas(grid: dict, ceiling: int) -> VerifyReport:
 
 
 def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -> int:
-    """Add reflexivity/antisymmetry/transitivity violations to bad; returns #containment checks.
+    """Add reflexivity/antisymmetry/transitivity violations to bad; returns the suite's checked count.
 
-    One containment check per edge i -> j (j != i): rows[j] must lie within
-    rows[i], and for j > i, rows[j] must not hold i.  Row i passes both
-    checks iff or_of_rows (one C-level OR) over its edges adds nothing
-    outside rows[i], and the OR over its edges above i leaves bit i clear;
-    only a row that fails goes through its edges one at a time, so the
-    faults are found, counted and stored in edge order.
+    That is n*n relation entries, n reflexivity checks and one containment
+    check per edge i -> j (j != i): rows[j] must lie within rows[i], and
+    for j > i, rows[j] must not hold i.  Row i passes both checks iff
+    or_of_rows (one C-level OR) over its edges adds nothing outside
+    rows[i], and the OR over its edges above i leaves bit i clear; only a
+    row that fails goes through its edges one at a time, so the faults are
+    found, counted and stored in edge order.
     """
     n = len(items)
     for i in range(n):
         if not (rows[i] >> i) & 1:
             bad.add({"law": "reflexivity", "item": render(items[i])})
-    containment_checks = 0
+    checked = n * n + n
     for i in range(n):
         edges = rows[i] & ~(1 << i)
-        containment_checks += edges.bit_count()
+        checked += edges.bit_count()
         above = or_of_rows(rows, edges >> (i + 1) << (i + 1))
         if not (above >> i) & 1 and not (above | or_of_rows(rows, edges & ((1 << i) - 1))) & ~rows[i]:
             continue
@@ -314,7 +315,7 @@ def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -
                     "law": "transitivity",
                     "a": render(items[i]), "b": render(items[j]), "c": render(items[k]),
                 })
-    return containment_checks
+    return checked
 
 
 def _code_grid(grid: dict) -> tuple[list[ExtSequence], list[ClsCode]]:
@@ -337,8 +338,7 @@ def _suite_tiap_order(grid: dict, ceiling: int) -> VerifyReport:
     projected = 2 * n * n + n
     _guard(projected, ceiling, "tiap-order")
     bad = _Collector()
-    containment_checks = _partial_order_violations(codes, code_rows(codes), ClsCode.to_json, bad)
-    checked = n * n + n + containment_checks
+    checked = _partial_order_violations(codes, code_rows(codes), ClsCode.to_json, bad)
     return _finish("tiap-order", grid, checked, bad, {"codes": n, "sequences": len(seqs)})
 
 
@@ -395,8 +395,7 @@ def _ideal_rows(grid: dict, ceiling: int, suite: str, projected) -> tuple[int, l
 def _suite_ideal_order(grid: dict, ceiling: int) -> VerifyReport:
     n, family, rows = _ideal_rows(grid, ceiling, "ideal-order", lambda n: 2 * n * n + n)
     bad = _Collector()
-    containment_checks = _partial_order_violations(family, rows, Ideal.to_json, bad)
-    checked = n * n + n + containment_checks
+    checked = _partial_order_violations(family, rows, Ideal.to_json, bad)
     return _finish("ideal-order", grid, checked, bad, {"family": n})
 
 

@@ -383,15 +383,20 @@ def test_code_slacks_read_from_the_columns(outer, data):
     dy = inner.y - outer.y
     for c0 in range(outer.x, inner.x + 1):
         code = split_code(inner, c0)
-        assert seq_slack(single.p, code.p) == dy + _column_slack(inner.yl, outer.yl, c0 - outer.x, padded=True)
-        assert seq_slack(single.q, code.q) == dy + _column_slack(inner.yr, outer.yr, inner.x - c0, padded=True)
+        left = _column_slack(inner.yl, outer.yl, c0 - outer.x, padded=True)
+        right = _column_slack(inner.yr, outer.yr, inner.x - c0, padded=True)
+        assert seq_slack(single.p, code.p) == dy + left
+        assert seq_slack(single.q, code.q) == dy + right
+        # never positive, so the deficits -left, -right of containing_ideals are >= 0
+        assert left <= 0 and right <= 0
 
 
 def test_is_contained_builds_no_code(monkeypatch):
-    # is_contained reads its slacks from the columns and builds no code
+    # is_contained and containing_ideals read their slacks from the columns
+    # and build no code
     rows = inclusion_rows(FROZEN_FAMILY)  # the code route, before it is forbidden
     builders = {"split_code": split_code, "code_sequence": code_sequence, "cls_union": cls_union,
-                "code_included": code_included}
+                "code_included": code_included, "seq_slack": seq_slack}
 
     def forbidden(*args):
         raise AssertionError("a code was built")
@@ -407,6 +412,9 @@ def test_is_contained_builds_no_code(monkeypatch):
     assert pointwise_rows(FROZEN_FAMILY) == rows
     report = run_suite("maximal")
     assert report.checked > 0 and report.failed == 0
+    for ideal in LATTICE_UPSETS:
+        upset = containing_ideals(ideal, 3)
+        assert upset == [cand for cand in upset_candidates(ideal, 3) if is_contained(ideal, cand)]
 
 
 def upset_candidates(ideal, width_cap):

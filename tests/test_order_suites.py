@@ -27,8 +27,10 @@ from slinf.ideals import (
     acc_measure,
     cls_union,
     diagram_order_condition,
+    enumerate_diagrams,
     enumerate_ideals,
     family_size,
+    is_contained,
 )
 
 # asymmetric in x and y, with the required tord-discrepancy instance I(0,1) < I(0,0)
@@ -163,6 +165,31 @@ def test_condition_rows_match_pointwise_condition(bounds):
             for inner in family
         ]
         assert verify._diagram_condition_rows(family, padded) == pointwise
+
+
+def test_padded_reading_is_inclusion_where_y_is_kept():
+    # what tord-discrepancy measures: on the frozen family the padded reading
+    # is the inclusion order cut to pairs of equal y, so it misses exactly
+    # the inclusions where y drops
+    family = enumerate_ideals(2, 2, 2, 2)
+    rows = ideals.inclusion_rows(family)
+    same_y = [sum(1 << j for j, outer in enumerate(family) if outer.y == inner.y) for inner in family]
+    assert verify._diagram_condition_rows(family, padded=True) == [row & y for row, y in zip(rows, same_y)]
+    y_drops = sum((row & ~y).bit_count() for row, y in zip(rows, same_y))
+    report = verify.run_suite("tord-discrepancy")
+    assert report.details["padded_reading"]["missed_inclusions"] == y_drops == 19595
+
+
+nonzero_ideals = st.builds(
+    Ideal, st.integers(0, 3), st.integers(0, 2),
+    st.sampled_from(enumerate_diagrams(3, 3)), st.sampled_from(enumerate_diagrams(3, 3)),
+)
+
+
+@given(nonzero_ideals, nonzero_ideals)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_padded_condition_is_inclusion_at_equal_y(inner, outer):
+    assert diagram_order_condition(inner, outer) == (is_contained(inner, outer) and inner.y == outer.y)
 
 
 def split_consistency_reference(family, rows):
