@@ -12,23 +12,26 @@ ascending-chain corollaries.  A single ideal pair compares the outer ideal's
 from the diagram columns (``is_contained``); an upset decides every
 candidate at once from one table of column deficits, the same slacks
 negated, and comes out in canonical order with no sort
-(``containing_ideals``); a whole family is decided on each outer ideal's
-(x, 0) split by bitset rows over the codes (``inclusion_rows``), and the
+(``containing_ideals``); a whole family is decided on the same slacks as
+bitset rows over the ideals, built by mask algebra from one table of
+column slacks, with no code built (``inclusion_rows``), and the
 ``split-consistency`` suite replays those rows against the full code
-unions.  Every route rests on one slack form:
+unions, which it does build.  Every route rests on one slack form:
 a split a + b = d fits under two slacks s_p, s_q iff s_p >= 0, s_q >= 0 and
 s_p + s_q >= d (``code_included``).  A direct closed-form condition on the
 diagram columns exists in the literature but disagrees with those corollaries
 as printed; it is kept here (``diagram_order_condition``, is_contained's
-column form without the shift by dy) purely so the ``tord-discrepancy``
-verify suite can report the disagreement, and is never used for decisions.
+column form without the shift by dy, tabulated for a family by the engine
+of ``inclusion_rows``) purely so the ``tord-discrepancy`` verify suite can
+report the disagreement, and is never used for decisions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations_with_replacement
+from functools import cache, reduce
+from itertools import accumulate, chain, combinations_with_replacement
 from operator import or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -36,7 +39,6 @@ from .cls_codes import (
     INF,
     ClsCode,
     ExtSequence,
-    _order_rows,
     _split_fits,
     bit_indices,
 )
@@ -174,32 +176,14 @@ def is_contained(inner: Ideal, outer: Ideal) -> bool:
 def inclusion_rows(ideals: Sequence[Ideal]) -> list[int]:
     """The inclusion order as bitset rows: bit j of row i iff is_contained(ideals[i], ideals[j]).
 
-    Built through the code route by mask algebra, on the outer ideal's
-    (x, 0) split alone, as is_contained decides.  Code k of the list is
-    ideal k's (x, 0) split, and the other splits of every ideal follow.
-    The down-set of each code (the codes included in it) comes from the
-    slack table of code_rows, read transposed.  Ideal i lies below ideal j
-    iff the (x, 0) split of j, code j, is included in some code of ideal i:
-    so row i is the OR of the down-sets of ideal i's x + 1 codes, cut to
-    the first len(ideals) codes: past the down-sets, one OR per ideal.  The
-    zero ideal lies below everything and above nothing else; the
-    augmentation ideal's code stands in at its position, and that column
-    is cleared.  Duplicates need nothing: each copy has its own codes.  The
+    Decided on the columns, as is_contained decides, but for every pair at
+    once and with no code built: _column_rows(ideals, shifted=True,
+    padded=True).  The zero ideal lies below everything and above nothing
+    else; duplicates and any order of the list are fine.  The
     ``split-consistency`` suite replays these rows against the full code
-    unions.
+    unions, a route that builds the codes.
     """
-    codes = [split_code(AUGMENTATION_IDEAL if ideal.zero else ideal, ideal.x) for ideal in ideals]
-    starts = []
-    for ideal in ideals:
-        starts.append(len(codes))
-        codes.extend(split_code(ideal, c) for c in range(ideal.x))
-    down = _order_rows(codes, down=True)
-    nonzero = sum(1 << i for i, ideal in enumerate(ideals) if not ideal.zero)
-    full = (1 << len(ideals)) - 1
-    return [
-        full if ideal.zero else reduce(or_, down[start : start + ideal.x], down[i]) & nonzero
-        for i, (ideal, start) in enumerate(zip(ideals, starts))
-    ]
+    return _column_rows(ideals, True, True)
 
 
 def _column_slack(cols: YoungDiagram, outer_cols: YoungDiagram, shove: int, padded: bool) -> int | float:
@@ -226,7 +210,8 @@ def diagram_order_condition(inner: Ideal, outer: Ideal, padded: bool = True) -> 
     two diagrams, a shove and the reading, so this takes at most 2(dx + 1)
     minima per pair, where the split search it replaces tried up to
     (dx + 1)(dy + 1) pairs of splits; a whole family takes them from one
-    table per reading instead (``verify._diagram_condition_rows``).
+    table per reading instead (``_column_rows`` without the shift, the
+    engine of ``inclusion_rows``).
 
     With padded=True the inequalities are required at every index, columns
     being zero beyond their diagrams; the last padded index then gives a
@@ -265,13 +250,73 @@ def _columns_fit(inner: Ideal, outer: Ideal, shift: int, padded: bool) -> bool:
     return False
 
 
-def _some_split_fits(dx: int, dy: int, left, right) -> bool:
-    """The diagram condition on column slacks: some c + d = dx has _split_fits(dy, left[c], right[d]).
+def _column_rows(ideals: Sequence[Ideal], shifted: bool, padded: bool) -> list[int]:
+    """Bitset rows of _columns_fit: bit j of row i iff it holds for (ideals[i], ideals[j]) at shift dy (or 0).
 
-    left[c] = sL(c) and right[d] = sR(d) are read for shoves 0..dx only, so
-    longer tables serve too.
+    The shift is dy when shifted, else 0; a zero inner ideal gives a full
+    row, and a zero outer ideal is above nothing else.  Built by mask
+    algebra over the list, never pair by pair.  The outers of a pair
+    (dx, dy) form one group mask, of x' = x - dx and y' = y - dy.  Among
+    them, _columns_fit needs some c + d = dx with shift + sL(c) >= 0,
+    shift + sR(d) >= 0 and sL(c) + sR(d) >= dy - 2 shift.  The column
+    slacks read two diagrams and a shove, so one table holds them all:
+    every distinct diagram against every other, at every shove below the
+    spread of x.  For an inner left diagram and a shove c the outers fall
+    into buckets of equal sL(c), each the OR of the masks of the left
+    diagrams at that slack; on the right, the buckets of sR(d) are ORed
+    from the top down, so the outers with sR(d) >= t are one mask.  So
+    one mask per distinct (Yl, Yr, dx, dy) takes one AND per occupied left
+    bucket and shove, and row i is the OR over (dx, dy) of the group mask
+    ANDed with that mask.
     """
-    return any(_split_fits(dy, left[c], right[dx - c]) for c in range(dx + 1))
+    members: dict[tuple[int, int], list[int]] = {}
+    by_left: dict[YoungDiagram, int] = {}
+    by_right: dict[YoungDiagram, int] = {}
+    for j, ideal in enumerate(ideals):
+        if not ideal.zero:
+            members.setdefault((ideal.x, ideal.y), []).append(j)
+            for masks, key in ((by_left, ideal.yl), (by_right, ideal.yr)):
+                masks[key] = masks.get(key, 0) | 1 << j
+    groups = {xy: sum(1 << j for j in js) for xy, js in members.items()}
+    xs = [x for x, _ in groups]
+    shoves = range(max(xs, default=0) - min(xs, default=0) + 1)
+    diagrams = by_left.keys() | by_right.keys()
+    slacks = {(a, b): [_column_slack(a, b, c, padded) for c in shoves] for a in diagrams for b in diagrams}
+
+    def buckets(a: YoungDiagram, c: int, by: dict) -> list[tuple]:
+        # (slack, mask of the outers at that slack) for inner diagram a at shove c, occupied slacks ascending
+        at: dict = {}
+        for b, mask in by.items():
+            at[slacks[a, b][c]] = at.get(slacks[a, b][c], 0) | mask
+        return sorted(at.items())
+
+    def at_least(values, masks) -> tuple:
+        # the slacks, and at k the outers whose slack is values[k] or more; 0 past the last
+        return values, list(accumulate(reversed(masks), or_))[::-1] + [0]
+
+    left = {(a, c): buckets(a, c, by_left) for a in by_left for c in shoves}
+    right = {(a, c): at_least(*zip(*buckets(a, c, by_right))) for a in by_right for c in shoves}
+
+    @cache
+    def fits(yl: YoungDiagram, yr: YoungDiagram, dx: int, dy: int) -> int:
+        # the outers, of any x and y, whose diagrams fit under (yl, yr) at (dx, dy)
+        shift = dy if shifted else 0
+        mask = 0
+        for c in range(dx + 1):
+            values, above = right[yr, dx - c]
+            for s, outers in left[yl, c]:
+                if s + shift >= 0:
+                    mask |= outers & above[bisect_left(values, max(-shift, dy - 2 * shift - s))]
+        return mask
+
+    rows = [(1 << len(ideals)) - 1] * len(ideals)  # the zero ideal's, full
+    for (x, y), js in members.items():
+        # the groups of outers at or below (x, y), one (x, y) at a time: all at once would take #groups**2
+        below = [(g, x - gx, y - gy) for (gx, gy), g in groups.items() if gx <= x and gy <= y]
+        for j in js:
+            yl, yr = ideals[j].yl, ideals[j].yr
+            rows[j] = reduce(or_, [g & fits(yl, yr, dx, dy) for g, dx, dy in below], 0)
+    return rows
 
 
 def is_maximal(ideal: Ideal) -> bool:
@@ -425,17 +470,19 @@ def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -
 
 
 def inclusion_rows_checks(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -> int:
-    """The checks inclusion_rows pays on enumerate_ideals(...), without enumerating.
+    """The checks the guards of inclusion_rows count on enumerate_ideals(...), without enumerating.
 
-    Its ideal pairs, or its code pairs if those weigh more.  The family has
-    x + 1 codes for each ideal of x, codes = family_size * (max_x + 2) / 2
-    in all.  inclusion_rows builds one bitset row over them per code, the
-    down-sets, and then ORs the x + 1 rows of each ideal's codes: codes
-    rows read once more.  A row is read a 64-bit word at a time, so code
-    pairs count 64 to a check: codes**2 / 64 for the down-sets, and at most
-    as many again for the ORs.  The count keeps codes**2 / 64, as it bounds
-    the order of the work, not its constant.  Exact up to cap, some number
-    past cap beyond it, like family_size.
+    Its ideal pairs, or the code pairs of the code route if those weigh
+    more: x + 1 codes for each ideal of x, codes = family_size *
+    (max_x + 2) / 2 in all, at 64 code pairs to a check (a 64-bit word of
+    a row over the codes), so codes**2 / 64.  inclusion_rows builds no
+    code: per ideal it ANDs one group mask for each (dx, dy) at or below
+    it, at most (max_x + 1)(max_y + 1) operations on masks of family_size
+    bits, and it builds one mask per distinct (Yl, Yr, dx, dy) from one
+    table of column slacks.  The count stays the one the code route was
+    guarded by, so every guard refuses the same families with the same
+    message.  Exact up to cap, some number past cap beyond it, like
+    family_size.
     """
     size = family_size(max_x, max_y, max_cols, max_len, cap)
     codes = size * (max_x + 2) // 2

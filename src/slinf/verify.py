@@ -16,7 +16,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, islice
 from pathlib import Path
 
 from .cls_codes import (
@@ -36,8 +36,7 @@ from .dominance import _chain_oracle, _equal_ends, _gap_column, _interlaces, _or
 from .ideals import (
     AUGMENTATION_IDEAL,
     Ideal,
-    _column_slack,
-    _some_split_fits,
+    _column_rows,
     acc_measure,
     cls_union,
     enumerate_ideals,
@@ -47,7 +46,7 @@ from .ideals import (
     is_contained,
 )
 from .local_systems import _gap_union_column
-from .partitions import ShiftClass, YoungDiagram, as_array, as_int, canonicalize, class_count, enumerate_classes
+from .partitions import ShiftClass, as_array, as_int, canonicalize, class_count, enumerate_classes
 
 DEFAULT_CEILING = 10_000_000
 MAX_STORED_COUNTEREXAMPLES = 50
@@ -382,8 +381,8 @@ def _suite_code_slack(grid: dict, ceiling: int) -> VerifyReport:
 def _ideal_rows(grid: dict, ceiling: int, suite: str, projected) -> tuple[int, list[Ideal], list[int]]:
     """(n, family, inclusion_rows(family)) for the grid's family of n ideals, guarded before enumerating.
 
-    The guard takes the suite's projected(n) checks, or the code rows of
-    inclusion_rows if those weigh more.
+    The guard takes the suite's projected(n) checks, or inclusion_rows_checks
+    if those weigh more.
     """
     bounds = grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"]
     n = family_size(*bounds, ceiling)
@@ -485,8 +484,9 @@ def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     n, family, rows = _ideal_rows(grid, ceiling, "split-consistency", lambda n: n * n)
     checked = n * n
     bad = _Collector()
-    # inclusion_rows decides on each outer ideal's (x, 0) split alone; the
-    # pairs where the full code unions differ are walked in pair order
+    # inclusion_rows decides on each outer ideal's (x, 0) split alone, from
+    # the columns; the pairs where the full code unions differ are walked in
+    # pair order
     for inner, single, full in zip(family, rows, _full_union_rows(family)):
         for j in bit_indices(single ^ full):
             bad.add({
@@ -496,59 +496,11 @@ def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
     return _finish("split-consistency", grid, checked, bad, {"family": n})
 
 
-def _blocks(family: list[Ideal]) -> tuple[int, int, list[YoungDiagram]]:
-    """(xs, ys, diagrams): family[(x * ys + y) * block + k] has x, y and the k-th diagram pair (Yl, Yr).
-
-    That is the layout of enumerate_ideals, the sorted product of x (xs
-    values), y (ys values) and two diagrams (block = len(diagrams)**2 pairs
-    of them); checked, and ValueError if the family is laid out otherwise.
-    """
-    diagrams = sorted({ideal.yl for ideal in family})
-    xs, ys = max(ideal.x for ideal in family) + 1, max(ideal.y for ideal in family) + 1
-    layout = [(x, y, yl, yr) for x in range(xs) for y in range(ys) for yl in diagrams for yr in diagrams]
-    if [(ideal.x, ideal.y, ideal.yl, ideal.yr) for ideal in family] != layout:
-        raise ValueError("the family is not the sorted product of x, y and two diagrams")
-    return xs, ys, diagrams
-
-
-def _diagram_condition_rows(family: list[Ideal], padded: bool) -> list[int]:
-    """Bitset rows of diagram_order_condition: bit j of row i iff it holds for (family[i], family[j]).
-
-    The condition is false unless both drops dx, dy are >= 0, and then reads
-    only the column slacks sL(c) of the left diagrams and sR(d) of the right
-    ones, for c + d = dx (_some_split_fits).  A column slack reads two
-    diagrams and a shove, so one table per reading holds every slack the
-    family needs: slacks[a][b][c] is _column_slack of diagrams a and b at
-    shove c, for every shove below xs, len(diagrams)**2 * xs calls in all.
-    Each key (dx, dy, Yl, Yr), in the order of the family, gets one mask
-    over the outer diagram pairs, with _some_split_fits on table entries
-    per outer pair.  Row i is the OR of its keys' masks, each shifted to the
-    block of outers with x = x_i - dx and y = y_i - dy.
-    """
-    xs, ys, diagrams = _blocks(family)
-    block = len(diagrams) ** 2
-    slacks = [[[_column_slack(a, b, c, padded) for c in range(xs)] for b in diagrams] for a in diagrams]
-    masks = [
-        sum(1 << k for k, (left, right) in enumerate(product(by_l, by_r)) if _some_split_fits(dx, dy, left, right))
-        for dx in range(xs)
-        for dy in range(ys)
-        for by_l in slacks
-        for by_r in slacks
-    ]
-    return [
-        sum(
-            masks[(dx * ys + dy) * block + k % block] << ((ideal.x - dx) * ys + ideal.y - dy) * block
-            for dx in range(ideal.x + 1)
-            for dy in range(ideal.y + 1)
-        )
-        for k, ideal in enumerate(family)
-    ]
-
-
 def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     n, family, actual = _ideal_rows(grid, ceiling, "tord-discrepancy", lambda n: 3 * n * n)
-    padded = _diagram_condition_rows(family, padded=True)
-    loose = _diagram_condition_rows(family, padded=False)
+    # diagram_order_condition is _columns_fit without the shift by dy
+    padded = _column_rows(family, False, True)
+    loose = _column_rows(family, False, False)
 
     def count(over: list[int], under: list[int]) -> int:
         return sum((o & ~u).bit_count() for o, u in zip(over, under))
@@ -565,7 +517,7 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
         # documentation: it must stay sound
         bad.add({"law": "printed-condition-unsound", **pair})
     required_inner, required_outer = Ideal(0, 1, (), ()), AUGMENTATION_IDEAL
-    # the augmentation ideal is in every family _blocks accepts
+    # the augmentation ideal is in every enumerated family
     required_seen = required_inner in family and bool(
         (actual[i := family.index(required_inner)] & ~padded[i]) >> family.index(required_outer) & 1
     )

@@ -172,6 +172,24 @@ def test_lattice_upset_answers_are_unchanged(capsys):
     assert digest.hexdigest() == (GOLDEN / "lattice-upsets.sha256").read_text(encoding="utf-8").strip()
 
 
+LATTICE_HASSE = [
+    ["--max-x", "2", "--max-y", "2", "--max-cols", "2", "--max-len", "2", "--format", "dot"],
+    ["--max-x", "2", "--max-y", "1", "--max-cols", "2", "--max-len", "2", "--format", "json"],
+    ["--max-x", "0", "--max-y", "500", "--format", "json"],
+    ["--max-x", "1", "--max-y", "60", "--max-cols", "1", "--max-len", "1"],
+]
+
+
+def test_lattice_hasse_outputs_are_unchanged(capsys):
+    # the benchmark's two Hasse diagrams and two wide-y families: one sha256 over what they print
+    digest = hashlib.sha256()
+    for argv in LATTICE_HASSE:
+        code, out, err = run(capsys, "ideal", "hasse", *argv)
+        assert (code, err) == (0, ""), argv
+        digest.update(out.encode())
+    assert digest.hexdigest() == (GOLDEN / "lattice-hasse.sha256").read_text(encoding="utf-8").strip()
+
+
 def test_ideal_weight_prints_the_weight_json_byte_for_byte(capsys):
     # sort_keys orders the position keys as strings, "1", "10", "100", "101", ..., "2";
     # x from 9 to 123 makes 1-, 2- and 3-digit keys meet
@@ -344,7 +362,7 @@ def test_verify_ceiling_estimate_is_bounded(capsys, tmp_path):
 
 def test_verify_guards_count_code_rows_before_enumerating(capsys, monkeypatch, tmp_path):
     # 3 001 ideals pass as pairs (acc projects 3 001**2 + 1 000 checks, under the
-    # ceiling), but inclusion_rows would hold a row for each of their 4.5 * 10**6 codes
+    # ceiling), but the guard also counts the code pairs of their 4.5 * 10**6 codes
     def forbidden(*args):
         raise AssertionError("enumeration started")
 

@@ -1,16 +1,20 @@
 import importlib
 import pkgutil
 import tracemalloc
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import slinf
-from slinf.cls_codes import ClsCode, ExtSequence, code_included, seq_slack, union_included
+from slinf.cls_codes import ClsCode, ExtSequence, _order_rows, bit_indices, code_included, seq_slack, union_included
+from slinf.hasse import covering_relations
 from slinf.ideals import (
     AUGMENTATION_IDEAL,
     ZERO_IDEAL,
     Ideal,
+    _column_rows,
     _column_slack,
     acc_measure,
     cls_union,
@@ -339,9 +343,9 @@ ideals = st.one_of(
 @given(st.lists(ideals, max_size=10), st.data())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_inclusion_rows_match_pointwise_inclusion(family, data):
-    # inclusion_rows decides on each outer (x, 0) split through the code
-    # rows, is_contained on the same split with its slacks read off the
-    # columns, and the reference on the full code unions (nonzero ideals only)
+    # inclusion_rows and is_contained decide on each outer (x, 0) split with
+    # its slacks read off the columns, for a whole list or pair by pair; the
+    # reference builds the full code unions (nonzero ideals only)
     if family:  # repeat some entries, so duplicates always occur
         family += data.draw(st.lists(st.sampled_from(family), min_size=1, max_size=3))
     assert inclusion_rows(family) == pointwise_rows(family)
@@ -357,6 +361,39 @@ def pointwise_rows(family):
 FROZEN_FAMILY = [ZERO_IDEAL] + enumerate_ideals(2, 2, 2, 2)
 
 
+# lists in any order, with duplicates and the zero ideal, for the one engine
+# behind inclusion_rows and both tord-discrepancy readings
+engine_ideals = st.one_of(
+    st.just(ZERO_IDEAL),
+    st.builds(
+        Ideal,
+        st.integers(0, 3),
+        st.integers(0, 4),
+        st.sampled_from(enumerate_diagrams(3, 3)),
+        st.sampled_from(enumerate_diagrams(3, 3)),
+    ),
+)
+
+
+def reading_rows(family, holds):
+    """Rows of a pointwise reading, with the zero ideal below everything and above nothing else."""
+    return [
+        sum(1 << j for j, outer in enumerate(family) if inner.zero or not outer.zero and holds(inner, outer))
+        for inner in family
+    ]
+
+
+@given(st.lists(engine_ideals, max_size=12), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_column_rows_match_pointwise_readings(family, data):
+    if family:  # repeat some entries and shuffle, so duplicates sit anywhere
+        family = data.draw(st.permutations(family + data.draw(st.lists(st.sampled_from(family), max_size=3))))
+    assert _column_rows(family, True, True) == pointwise_rows(family)
+    for padded in (True, False):
+        expected = reading_rows(family, lambda inner, outer: diagram_order_condition(inner, outer, padded))
+        assert _column_rows(family, False, padded) == expected
+
+
 def test_is_contained_equals_inclusion_rows_on_the_frozen_family():
     # every pair of the frozen family, the zero ideal included
     assert inclusion_rows(FROZEN_FAMILY) == pointwise_rows(FROZEN_FAMILY)
@@ -365,6 +402,12 @@ def test_is_contained_equals_inclusion_rows_on_the_frozen_family():
 def test_inclusion_rows_equal_the_full_unions_past_the_frozen_family():
     # 900 ideals with columns of length 3, beyond the frozen split-consistency grid
     family = enumerate_ideals(2, 2, 2, 3)
+    assert inclusion_rows(family) == _full_union_rows(family)
+
+
+def test_inclusion_rows_equal_the_full_unions_across_a_wide_y_spread():
+    # 2 196 ideals with y up to 60, so dy takes 61 values
+    family = enumerate_ideals(0, 60, 2, 2)
     assert inclusion_rows(family) == _full_union_rows(family)
 
 
@@ -392,11 +435,18 @@ def test_code_slacks_read_from_the_columns(outer, data):
 
 
 def test_is_contained_builds_no_code(monkeypatch):
-    # is_contained and containing_ideals read their slacks from the columns
-    # and build no code
-    rows = inclusion_rows(FROZEN_FAMILY)  # the code route, before it is forbidden
+    # is_contained, inclusion_rows, covering_relations and containing_ideals
+    # read their slacks from the columns and build no code
+    rows = pointwise_rows(FROZEN_FAMILY)  # the expected rows, before anything is forbidden
+    family = FROZEN_FAMILY[1:]
+    strict = [(row >> 1) & ~(1 << i) for i, row in enumerate(rows[1:])]
+    covers = [
+        (family[a], family[b])
+        for a, row in enumerate(strict)
+        for b in bit_indices(row & ~reduce(or_, [strict[c] for c in bit_indices(row)], 0))
+    ]
     builders = {"split_code": split_code, "code_sequence": code_sequence, "cls_union": cls_union,
-                "code_included": code_included, "seq_slack": seq_slack}
+                "code_included": code_included, "seq_slack": seq_slack, "_order_rows": _order_rows}
 
     def forbidden(*args):
         raise AssertionError("a code was built")
@@ -409,7 +459,8 @@ def test_is_contained_builds_no_code(monkeypatch):
         for name, builder in builders.items():
             if getattr(module, name, None) is builder:
                 monkeypatch.setattr(module, name, forbidden)
-    assert pointwise_rows(FROZEN_FAMILY) == rows
+    assert pointwise_rows(FROZEN_FAMILY) == inclusion_rows(FROZEN_FAMILY) == rows
+    assert covering_relations(family) == covers
     report = run_suite("maximal")
     assert report.checked > 0 and report.failed == 0
     for ideal in LATTICE_UPSETS:

@@ -3,9 +3,10 @@
 The suites take every per-pair input from a table built once per run:
 code-slack from one seq_slack table and one table of shift masks over the
 interned sequences, split-consistency from two row builds (inclusion_rows on
-the single splits, the full-union reference), one seq_slack table each,
-tord-discrepancy from one table of column slacks per reading (inner
-diagram by outer diagram by shove), acc from one measure per ideal.
+the single splits, from the columns, and the full-union reference, from one
+seq_slack table), tord-discrepancy from one table of column slacks per
+reading (inner diagram by outer diagram by shove), acc from one measure per
+ideal.
 These tests pin those call counts on the frozen grid, check the condition
 rows against the pointwise condition past it, and inject faults (bits of
 code_rows or inclusion_rows, one pointwise shift test) to check that each
@@ -132,9 +133,10 @@ def test_tord_discrepancy_tabulates_each_column_slack_once(monkeypatch):
     conditions = count_calls(monkeypatch, "diagram_order_condition")
     report = verify.run_suite("tord-discrepancy")
     assert report.failed == 0
-    # one table per reading: 6 inner diagrams by 6 outer diagrams at 3 shoves;
-    # one condition per pair of ideals would make 70 000 column slacks
-    assert slacks[0] <= 2 * 6**2 * 3 == 216
+    # one table per reading, shared by the left and right sides: 6 inner
+    # diagrams by 6 outer diagrams at 3 shoves, for the inclusion rows and
+    # both readings; one condition per pair of ideals would make 70 000
+    assert slacks[0] <= 3 * 6**2 * 3 == 324
     assert conditions[0] == 0
 
 
@@ -164,7 +166,7 @@ def test_condition_rows_match_pointwise_condition(bounds):
             sum(1 << j for j, outer in enumerate(family) if diagram_order_condition(inner, outer, padded))
             for inner in family
         ]
-        assert verify._diagram_condition_rows(family, padded) == pointwise
+        assert ideals._column_rows(family, False, padded) == pointwise
 
 
 def test_padded_reading_is_inclusion_where_y_is_kept():
@@ -174,7 +176,7 @@ def test_padded_reading_is_inclusion_where_y_is_kept():
     family = enumerate_ideals(2, 2, 2, 2)
     rows = ideals.inclusion_rows(family)
     same_y = [sum(1 << j for j, outer in enumerate(family) if outer.y == inner.y) for inner in family]
-    assert verify._diagram_condition_rows(family, padded=True) == [row & y for row, y in zip(rows, same_y)]
+    assert ideals._column_rows(family, False, True) == [row & y for row, y in zip(rows, same_y)]
     y_drops = sum((row & ~y).bit_count() for row, y in zip(rows, same_y))
     report = verify.run_suite("tord-discrepancy")
     assert report.details["padded_reading"]["missed_inclusions"] == y_drops == 19595
@@ -318,9 +320,13 @@ def test_replays_report_exactly_the_injected_fault(monkeypatch, inner, outer):
     assert (report.failed, report.counterexamples, report.details) == expected
 
 
-def test_condition_rows_refuse_a_family_out_of_layout():
-    # the rows shift masks by block, so the product layout is checked, not assumed
+def test_condition_rows_follow_a_permuted_family():
+    # the rows take any list: a permuted family gives the permuted rows
     family = enumerate_ideals(*SMALL.values())
-    for other in (family[::-1], family[:-1], family[1:] + family[:1]):
-        with pytest.raises(ValueError, match="sorted product"):
-            verify._diagram_condition_rows(other, padded=True)
+    n = len(family)
+    orders = [list(range(n))[::-1], list(range(1, n)) + [0], random.Random(0).sample(range(n), n)]
+    for padded in (True, False):
+        rows = ideals._column_rows(family, False, padded)
+        for order in orders:
+            expected = [sum((rows[a] >> b & 1) << j for j, b in enumerate(order)) for a in order]
+            assert ideals._column_rows([family[k] for k in order], False, padded) == expected
