@@ -16,12 +16,11 @@ from typing import Iterable, Iterator, Sequence
 from . import verify
 from .cls_codes import ClsCode, code_included
 from .dominance import dominates_interlace, dominates_oracle, gap_criterion
-from .hasse import family_hasse
+from .hasse import _hasse_checks, family_hasse
 from .ideals import (
     Ideal,
     containing_ideals,
     highest_weight,
-    inclusion_rows_checks,
     is_contained,
     split_code,
     upset_size,
@@ -229,7 +228,7 @@ def _cmd_ideal_upset(args) -> int:
 def _cmd_ideal_hasse(args) -> int:
     bounds = (args.max_x, args.max_y, args.max_cols, args.max_len)
     if min(bounds) >= 0:  # negative bounds are left for family_hasse to refuse
-        checks = inclusion_rows_checks(*bounds, verify.DEFAULT_CEILING)
+        checks = _hasse_checks(*bounds, verify.DEFAULT_CEILING)
         _refuse_past_ceiling(checks, "the Hasse diagram of this family", "inclusion checks", "the --max-* bounds")
     text = family_hasse(args.max_x, args.max_y, args.max_cols, args.max_len, args.format)
     sys.stdout.write(text)

@@ -480,9 +480,10 @@ def inclusion_rows_checks(max_x: int, max_y: int, max_cols: int, max_len: int, c
     it, at most (max_x + 1)(max_y + 1) operations on masks of family_size
     bits, and it builds one mask per distinct (Yl, Yr, dx, dy) from one
     table of column slacks.  The count stays the one the code route was
-    guarded by, so every guard refuses the same families with the same
-    message.  Exact up to cap, some number past cap beyond it, like
-    family_size.
+    guarded by, so every suite guard refuses the same families with the
+    same message; ``ideal hasse`` counts its real work instead
+    (hasse._hasse_checks).  Exact up to cap, some number past cap beyond
+    it, like family_size.
     """
     size = family_size(max_x, max_y, max_cols, max_len, cap)
     codes = size * (max_x + 2) // 2

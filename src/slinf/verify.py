@@ -29,6 +29,7 @@ from .cls_codes import (
     _split_fits,
     bit_indices,
     code_rows,
+    cover_walk,
     or_of_rows,
     seq_slack,
 )
@@ -287,20 +288,33 @@ def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -
 
     That is n*n relation entries, n reflexivity checks and one containment
     check per edge i -> j (j != i): rows[j] must lie within rows[i], and
-    for j > i, rows[j] must not hold i.  Row i passes both checks iff
-    or_of_rows (one C-level OR) over its edges adds nothing outside
-    rows[i], and the OR over its edges above i leaves bit i clear; only a
-    row that fails goes through its edges one at a time, so the faults are
-    found, counted and stored in edge order.
+    for j > i, rows[j] must not hold i.
+
+    No edge is walked, and none has a fault, when every row i has the
+    union of cover_walk within its strict edges strict(i) =
+    rows[i] & ~(1 << i).  By induction on |strict(i)|: a pick p has
+    strict(p) within the union, so within strict(i), which holds p too;
+    so |strict(p)| < |strict(i)| and rows[p] lies within rows[i].  Every
+    other edge j lies in strict(p) for some pick p, so by induction rows[j]
+    lies within rows[p], hence within rows[i]: transitivity.  Bit i is
+    outside the union and no pick, so it is in no such rows[j]:
+    antisymmetry.  Only the reflexivity faults, counted first, remain.
+
+    When some row's union strays, the exact walk runs instead.  Row i
+    passes it iff or_of_rows (one C-level OR) over its edges adds nothing
+    outside rows[i], and the OR over its edges above i leaves bit i clear;
+    only a row that fails goes through its edges one at a time, so the
+    faults are found, counted and stored in edge order.
     """
     n = len(items)
     for i in range(n):
         if not (rows[i] >> i) & 1:
             bad.add({"law": "reflexivity", "item": render(items[i])})
-    checked = n * n + n
-    for i in range(n):
-        edges = rows[i] & ~(1 << i)
-        checked += edges.bit_count()
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
+    checked = n * n + n + sum(edges.bit_count() for edges in strict)
+    if all(not cover_walk(rows, i)[1] & ~edges for i, edges in enumerate(strict)):
+        return checked
+    for i, edges in enumerate(strict):
         above = or_of_rows(rows, edges >> (i + 1) << (i + 1))
         if not (above >> i) & 1 and not (above | or_of_rows(rows, edges & ((1 << i) - 1))) & ~rows[i]:
             continue

@@ -324,7 +324,7 @@ def test_upset_and_hasse_refuse_oversized_requests_before_enumerating(capsys, mo
         ["ideal", "upset", '{"x":0,"y":0,"yl":[40],"yr":[]}', "--cap", "40"],
         ["ideal", "hasse", "--max-x", "0", "--max-y", "0", "--max-cols", "40", "--max-len", "40"],
         ["ideal", "hasse", "--max-x", "2", "--max-y", "2", "--max-cols", "4", "--max-len", "4"],
-        # 3 001 ideals pass as pairs, but their 4.5 * 10**6 codes would each get a row
+        # 3 001 ideals, but 4.5 * 10**6 group ANDs reading up to 47 words each
         ["ideal", "hasse", "--max-x", "3000", "--max-y", "0", "--max-cols", "0", "--max-len", "0"],
     ):
         code, out, err = run(capsys, *argv)
@@ -332,7 +332,7 @@ def test_upset_and_hasse_refuse_oversized_requests_before_enumerating(capsys, mo
 
 
 def test_hasse_guard_accepts_the_benchmarked_and_wide_spread_families(capsys, monkeypatch):
-    # the guard counts code rows too, and still lets these through
+    # the guard counts the words of the group ANDs and the rows, and lets these through
     monkeypatch.setattr("slinf.cli.family_hasse", lambda *bounds: "drawn\n")
     for x, y, cols, length in (
         ("2", "2", "2", "2"), ("2", "1", "2", "2"), ("0", "500", "0", "0"), ("0", "1500", "0", "0"),
@@ -340,6 +340,22 @@ def test_hasse_guard_accepts_the_benchmarked_and_wide_spread_families(capsys, mo
     ):
         argv = ["ideal", "hasse", "--max-x", x, "--max-y", y, "--max-cols", cols, "--max-len", length]
         assert run(capsys, *argv) == (0, "drawn\n", ""), argv
+
+
+def test_hasse_guard_counts_the_row_work_not_the_codes(capsys, monkeypatch):
+    # bounds 3: 6 400 ideals, 40 960 000 pairs, but 2 196 000 counted words;
+    # the bounds-3 drawing as it was when the guard counted codes and pairs
+    code, out, err = run(capsys, "ideal", "hasse", "--max-x", "3", "--max-y", "3", "--max-cols", "3",
+                         "--max-len", "3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a5d2fd70225e113c74f1a83312a10c993a4c7839576f746803595b75b5c3f3d2"
+    )
+    assert sum(map(len, json.loads(out)["adjacency"])) == 28800
+    monkeypatch.setattr("slinf.ideals.enumerate_diagrams", lambda *args: pytest.fail("enumeration started"))
+    # (0, 1500, 0, 0) counts 9 989 037 and draws; one more y counts 10 008 201
+    code, out, err = run(capsys, "ideal", "hasse", "--max-x", "0", "--max-y", "1501")
+    assert (code, out) == (2, "") and "more than 10000000 inclusion checks" in err, err
 
 
 def test_verify_ceiling_estimate_is_bounded(capsys, tmp_path):

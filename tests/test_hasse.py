@@ -1,8 +1,9 @@
 import json
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from slinf.cls_codes import cover_walk, or_of_rows
 from slinf.hasse import covering_relations, family_hasse, hasse_adjacency
 from slinf.ideals import (
     AUGMENTATION_IDEAL,
@@ -12,6 +13,7 @@ from slinf.ideals import (
     enumerate_ideals,
     is_contained,
 )
+from test_order_laws import genuine_orders
 
 
 def test_single_column_family_graph():
@@ -103,3 +105,28 @@ def test_wide_y_spread_is_a_chain():
     # one constant code per ideal, limits 0..300 and no deficit: a chain
     family = enumerate_ideals(0, 300, 0, 0)
     assert covering_relations(family) == [(Ideal(0, y + 1), Ideal(0, y)) for y in range(300)]
+
+
+def transitive_reduction(rows):
+    """The bitset reduction of Aho, Garey and Ullman (1972): strict(i) minus the OR of strict(c) over c in strict(i)."""
+    strict = [row & ~(1 << i) for i, row in enumerate(rows)]
+    return [edges & ~or_of_rows(strict, edges) for edges in strict]
+
+
+@given(genuine_orders)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_cover_walk_gives_the_transitive_reduction(rows):
+    # the points in their drawn order, so rows have edges on both sides
+    reduction = transitive_reduction(rows)
+    for i, covers in enumerate(reduction):
+        picks, union = cover_walk(rows, i)
+        assert picks & ~union == covers
+        # every edge is a pick or lies in a pick's strict row
+        assert picks | union == rows[i] & ~(1 << i)
+
+
+def test_cover_walk_takes_the_nearest_edge_first():
+    # a chain 0 < 1 < 2 < 3 read from 1: one pick, the edge just above, whose row holds 3
+    assert cover_walk([0b1111, 0b1110, 0b1100, 0b1000], 1) == (0b0100, 0b1000)
+    # the reversed chain read from 2: one pick, the edge just below, whose row holds 0
+    assert cover_walk([0b0001, 0b0011, 0b0111, 0b1111], 2) == (0b0010, 0b0001)

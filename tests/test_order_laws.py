@@ -2,9 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from slinf.cls_codes import bit_indices, or_of_rows
+from slinf import verify
+from slinf.cls_codes import bit_indices, code_rows, or_of_rows
+from slinf.ideals import enumerate_ideals, inclusion_rows
 from slinf.verify import MAX_STORED_COUNTEREXAMPLES, _Collector, _partial_order_violations
 
 
@@ -62,6 +65,36 @@ def test_law_check_matches_reference_on_orders_with_flipped_bits(rows, flips):
     bad = both_checks(rows)
     if not flips:
         assert bad.count == 0
+
+
+def walk_no_edge(rows):
+    """The law check with the exact walk's helpers made to raise: a genuine order must need neither."""
+    def forbidden(*args):
+        raise AssertionError("an edge was walked")
+
+    items = list(range(len(rows)))
+    expected = per_edge_violations(items, rows, str, _Collector())
+    bad = _Collector()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "bit_indices", forbidden)
+        patch.setattr(verify, "or_of_rows", forbidden)
+        checked = _partial_order_violations(items, rows, str, bad)
+    assert (bad.count, checked) == (0, expected)
+
+
+@given(genuine_orders)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_genuine_order_walks_no_edge(rows):
+    # the points in their drawn order, so rows have edges on both sides
+    walk_no_edge(rows)
+
+
+def test_the_frozen_order_suites_walk_no_edge():
+    grids = verify.load_grid_config()["suites"]
+    _, codes = verify._code_grid(grids["tiap-order"])
+    walk_no_edge(code_rows(codes))
+    grid = grids["ideal-order"]
+    walk_no_edge(inclusion_rows(enumerate_ideals(grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"])))
 
 
 @given(st.integers(0, 24), st.sampled_from([0.05, 0.3, 0.7, 0.95]), st.integers(0, 2**32))

@@ -14,6 +14,8 @@ suite still reports exactly the faults its pointwise definition predicts,
 with the same counterexamples.
 """
 
+import hashlib
+import json
 import random
 from functools import cache
 
@@ -330,3 +332,17 @@ def test_condition_rows_follow_a_permuted_family():
         for order in orders:
             expected = [sum((rows[a] >> b & 1) << j for j, b in enumerate(order)) for a in order]
             assert ideals._column_rows([family[k] for k in order], False, padded) == expected
+
+
+@pytest.mark.parametrize("suite, overrides, sha256", [
+    # 3 249 codes, 12 314 093 checks; recorded before the law check took the cover walk
+    ("tiap-order", {"max_entry": 4},
+     "5346a0250136ce64be2bb2292a8c3c8d093471611c8351a1b291d46cb8eb565d"),
+    # 6 400 ideals, 51 316 344 checks
+    ("ideal-order", {"max_x": 3, "max_y": 3, "max_cols": 3, "max_len": 3},
+     "3ba0b7b3f36c0d58d0b7e7e99d23948c17f445130fe15b2aab73ad43fbf63cd0"),
+], ids=["tiap-order-max-entry-4", "ideal-order-bounds-3"])
+def test_wide_order_reports_are_pinned(suite, overrides, sha256):
+    report = verify.run_suite(suite, {**overrides, "ceiling": 10**9})
+    assert report.failed == 0
+    assert hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest() == sha256
