@@ -343,8 +343,8 @@ def test_hasse_guard_accepts_the_benchmarked_and_wide_spread_families(capsys, mo
 
 
 def test_hasse_guard_counts_the_row_work_not_the_codes(capsys, monkeypatch):
-    # bounds 3: 6 400 ideals, 40 960 000 pairs, but 2 196 000 counted words;
-    # the bounds-3 drawing as it was when the guard counted codes and pairs
+    # bounds 3: 6 400 ideals, 40 960 000 pairs, but 2 196 000 counted words; the
+    # sha256 is that of family_hasse(3, 3, 3, 3, "json") before the cover walk
     code, out, err = run(capsys, "ideal", "hasse", "--max-x", "3", "--max-y", "3", "--max-cols", "3",
                          "--max-len", "3", "--format", "json")
     assert (code, err) == (0, "")
