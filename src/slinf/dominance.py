@@ -18,6 +18,11 @@ reaches mu.  It prunes nothing else and never consults a closed form, so a
 True answer is still witnessed by an explicit chain and the suites that
 replay the oracle still compare two independent routes.
 
+The search memoizes per target: it takes a dict from intermediates to their
+answers against one mu, and the caller chooses how long that dict lives.
+``dominates_oracle`` keeps one per mu for the life of the process; each
+suite keeps its own for one target or one run, and drops it after.
+
 The remaining predicates test HYPOTHESES of closed-form sufficient
 conditions; their conclusion (dominance) is enforced by the verify suites,
 never inside the predicates, so each piece stays falsifiable on its own.
@@ -26,7 +31,8 @@ Each public predicate validates its arguments (the oracle also
 canonicalizes them) and then calls a private kernel on the validated
 tuples: ``_chain_oracle``, ``_interlaces``, ``_gap_criterion``,
 ``_equal_ends``, ``_tight_gaps`` and ``_wide_window``.  A kernel keeps only
-the checks that relate its two arguments, such as the oracle's depth limit.
+the checks that relate its two arguments, such as the oracle's depth limit;
+the oracle's kernels also take the memo for their target.
 Two kernels also come as columns, the answers of one lam against a list of
 mus of one width: ``_oracle_column`` and ``_gap_column``.  The checks that
 read only the widths run once per column, so a column answers, and refuses,
@@ -37,46 +43,58 @@ no validation; wrappers set on the public names see no suite pairs.
 
 from __future__ import annotations
 
-from functools import cache
 from operator import sub
 from typing import Sequence
 
 from .partitions import ShiftClass, ZPartition, _first_child, _iter_children, as_zpartition, canonicalize
 
 
-# The search recurses once per width step, at two interpreter frames a step
-# (the memo's call and _dominates, from the first-child probe or from the
-# loop; the children generator is off the stack while they recurse), so it
-# refuses width gaps past this: about half of the default recursion limit of
-# 1000 frames, which leaves the rest to its callers.
+# The search recurses once per width step, at one interpreter frame a step
+# (_dominates, from the first-child probe or from the loop; the children
+# generator is off the stack while they recurse), so it refuses width gaps
+# past this: about a quarter of the default recursion limit of 1000 frames,
+# which leaves the rest to its callers.
 MAX_CHAIN_DEPTH = 240
 
+# dominates_oracle's memo: target -> {intermediate: answer}, shared by every
+# public query and never evicted; the suites pass memos of their own
+_ORACLE_MEMOS: dict[ShiftClass, dict[ShiftClass, bool]] = {}
 
-@cache
-def _dominates(top: ShiftClass, target: ShiftClass) -> bool:
+
+def _dominates(top: ShiftClass, target: ShiftClass, memo: dict[ShiftClass, bool]) -> bool:
     # Both arguments canonical, len(top) >= len(target), top[0] >= target[0].
-    # Memoized on the (intermediate, target) pair, so queries against a fixed
-    # target share all intermediate results, and a child yielded twice is
-    # searched once.  A child never outgrows its parent's spread, so a child
-    # narrower in spread than target has no chain down to it and is never
-    # generated; every child generated satisfies the invariant.  The
+    # memo maps the intermediates searched against this one target to their
+    # answers; the caller chooses its scope, and queries that share it share
+    # all intermediate results.  The answer for top is stored in it, and a
+    # child found in it is read, not searched again, so a child yielded
+    # twice is searched once.  A child never outgrows its parent's spread,
+    # so a child narrower in spread than target has no chain down to it and
+    # is never generated; every child generated satisfies the invariant.  The
     # enumerator's first child is tried before the generator starts, and it
-    # is almost always memoized already, because the suites search narrower
-    # targets first; the generator yields it again as one memo hit, so the
-    # order and the memoized pairs are those of the enumerator alone.  Only
-    # dead branches are cut, so a True answer is still a chain found by
-    # search, and no closed form is consulted: this stays the oracle.
+    # is almost always in the memo already, because the suites search
+    # narrower targets first; the generator yields it again as one memo hit,
+    # so the order and the memoized intermediates are those of the enumerator
+    # alone.  Only dead branches are cut, so a True answer is still a chain
+    # found by search, and no closed form is consulted: this stays the oracle.
     if len(top) == len(target):
-        return top == target
-    first = _first_child(top, target[0])
-    if first is None:
-        return False
-    if _dominates(first, target):
-        return True
-    for child in _iter_children(top, target[0]):
-        if _dominates(child, target):
-            return True
-    return False
+        answer = top == target
+    else:
+        floor = target[0]
+        first = _first_child(top, floor)
+        answer = False
+        if first is not None:
+            answer = memo.get(first)
+            if answer is None:
+                answer = _dominates(first, target, memo)
+            if not answer:
+                for child in _iter_children(top, floor):
+                    answer = memo.get(child)
+                    if answer is None:
+                        answer = _dominates(child, target, memo)
+                    if answer:
+                        break
+    memo[top] = answer
+    return answer
 
 
 def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -86,13 +104,15 @@ def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
     space finite (entries stay bounded by lam[0] - lam[-1]); those narrower
     in spread than mu are never generated.  Shifting either argument does not
     change the answer.  A wider mu yields False.  A width gap past
-    MAX_CHAIN_DEPTH raises ValueError.
+    MAX_CHAIN_DEPTH raises ValueError.  Answers are memoized per mu, for
+    the life of the process.
     """
-    return _chain_oracle(canonicalize(lam), canonicalize(mu))
+    target = canonicalize(mu)
+    return _chain_oracle(canonicalize(lam), target, _ORACLE_MEMOS.setdefault(target, {}))
 
 
-def _chain_oracle(top: ShiftClass, target: ShiftClass) -> bool:
-    # dominates_oracle on canonical classes
+def _chain_oracle(top: ShiftClass, target: ShiftClass, memo: dict[ShiftClass, bool]) -> bool:
+    # dominates_oracle on canonical classes, with the caller's memo for target
     gap = len(top) - len(target)
     if gap < 0:
         return False
@@ -103,19 +123,26 @@ def _chain_oracle(top: ShiftClass, target: ShiftClass) -> bool:
         )
     if top[0] < target[0]:
         return False
-    return _dominates(top, target)
+    answer = memo.get(top)
+    return _dominates(top, target, memo) if answer is None else answer
 
 
-def _oracle_column(target: ShiftClass, tops: list[ShiftClass]) -> list[bool]:
-    # [_chain_oracle(top, target) for top in tops], for a nonempty list of
-    # tops of one width: the width checks are made once, and each top gets
+def _oracle_column(target: ShiftClass, tops: list[ShiftClass], memo: dict[ShiftClass, bool]) -> list[bool]:
+    # [_chain_oracle(top, target, memo) for top in tops], for a nonempty list
+    # of tops of one width: the width checks are made once, and each top gets
     # the spread test and the memoized search in order, so the memo holds the
-    # same pairs as under the per-pair calls
+    # same intermediates as under the per-pair calls
     gap = len(tops[0]) - len(target)
     if not 0 <= gap <= MAX_CHAIN_DEPTH:
-        return [_chain_oracle(tops[0], target)] * len(tops)  # False, or the depth refusal
-    floor = target[0]
-    return [top[0] >= floor and _dominates(top, target) for top in tops]
+        return [_chain_oracle(tops[0], target, memo)] * len(tops)  # False, or the depth refusal
+    floor, get = target[0], memo.get
+    answers = []
+    for top in tops:
+        answer = top[0] >= floor and get(top)
+        if answer is None:
+            answer = _dominates(top, target, memo)
+        answers.append(answer)
+    return answers
 
 
 def dominates_interlace(lam: Sequence[int], mu: Sequence[int]) -> bool:

@@ -7,11 +7,10 @@ relations oriented from the smaller ideal to the larger one.
 from __future__ import annotations
 
 import json
-from math import comb
 from typing import Iterable, Sequence
 
 from .cls_codes import bit_indices, cover_walk
-from .ideals import Ideal, diagram_count, enumerate_ideals, family_size, inclusion_rows
+from .ideals import Ideal, enumerate_ideals, family_size, inclusion_rows, inclusion_rows_checks
 
 
 def covering_relations(ideals: Iterable[Ideal]) -> list[tuple[Ideal, Ideal]]:
@@ -34,28 +33,15 @@ def covering_relations(ideals: Iterable[Ideal]) -> list[tuple[Ideal, Ideal]]:
 def _hasse_checks(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -> int:
     """The work of family_hasse on the bounded family, counted without enumerating, in 64-bit words.
 
-    With D diagrams, A = C(max_x + 2, 2) and B = C(max_y + 2, 2), the n
-    ideals are (max_x + 1)(max_y + 1) groups of D**2, one per (x, y), laid
-    out x by x.  inclusion_rows ANDs each ideal's fits mask with every
-    group at or below its (x, y): D**2 A B ANDs.  The group of (x', y')
-    ends at bit (x' (max_y + 1) + y' + 1) D**2, so one AND with it reads
-    that many bits over 64, and D**2 (max_x - x' + 1)(max_y - y' + 1)
-    ideals make one: D**4 ((max_y + 1) C(max_x + 2, 3) B + A C(max_y + 3, 3))
-    / 64 words in all.  Its fits masks take one step per shove,
-    D**2 A (max_y + 1), and cover_walk reads the n rows, n / 64 words
-    each.  On families that drew in 0.07 to 11 s (Python 3.11, one core),
-    a unit took 42 to 280 ns, so the ceiling of 10**7 lets through draws
-    of about half a second to three seconds.  Exact up to cap, some number
-    past cap beyond it, like family_size.
+    That is inclusion_rows_checks, and cover_walk's read of the n rows, n / 64
+    words each.  On families that drew in 0.07 to 11 s (Python 3.11, one
+    core), a unit took 42 to 280 ns, so the ceiling of 10**7 lets through
+    draws of about half a second to three seconds.  Exact up to cap, some
+    number past cap beyond it, like family_size.
     """
     n = family_size(max_x, max_y, max_cols, max_len, cap)
-    if n > cap:
-        return n
-    groups = diagram_count(max_cols, max_len, cap) ** 2
-    a, b = comb(max_x + 2, 2), comb(max_y + 2, 2)
-    ands = groups * a * b
-    words = groups * groups * ((max_y + 1) * comb(max_x + 2, 3) * b + a * comb(max_y + 3, 3)) // 64
-    return ands + words + groups * a * (max_y + 1) + n * -(-n // 64)
+    rows = inclusion_rows_checks(max_x, max_y, max_cols, max_len, cap)
+    return rows if n > cap else rows + n * -(-n // 64)
 
 
 def _graph(ideals: Iterable[Ideal]) -> tuple[list[Ideal], list[tuple[int, int]]]:

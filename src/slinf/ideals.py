@@ -32,6 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations_with_replacement
+from math import comb
 from operator import or_, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -470,24 +471,26 @@ def family_size(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -
 
 
 def inclusion_rows_checks(max_x: int, max_y: int, max_cols: int, max_len: int, cap: int) -> int:
-    """The checks the guards of inclusion_rows count on enumerate_ideals(...), without enumerating.
+    """The work of inclusion_rows on enumerate_ideals(...), counted without enumerating, in 64-bit words.
 
-    Its ideal pairs, or the code pairs of the code route if those weigh
-    more: x + 1 codes for each ideal of x, codes = family_size *
-    (max_x + 2) / 2 in all, at 64 code pairs to a check (a 64-bit word of
-    a row over the codes), so codes**2 / 64.  inclusion_rows builds no
-    code: per ideal it ANDs one group mask for each (dx, dy) at or below
-    it, at most (max_x + 1)(max_y + 1) operations on masks of family_size
-    bits, and it builds one mask per distinct (Yl, Yr, dx, dy) from one
-    table of column slacks.  The count stays the one the code route was
-    guarded by, so every suite guard refuses the same families with the
-    same message; ``ideal hasse`` counts its real work instead
-    (hasse._hasse_checks).  Exact up to cap, some number past cap beyond
-    it, like family_size.
+    With D diagrams, A = C(max_x + 2, 2) and B = C(max_y + 2, 2), the n
+    ideals are (max_x + 1)(max_y + 1) groups of D**2, one per (x, y), laid
+    out x by x.  inclusion_rows ANDs each ideal's fits mask with every
+    group at or below its (x, y): D**2 A B ANDs.  The group of (x', y')
+    ends at bit (x' (max_y + 1) + y' + 1) D**2, so one AND with it reads
+    that many bits over 64, and D**2 (max_x - x' + 1)(max_y - y' + 1)
+    ideals make one: D**4 ((max_y + 1) C(max_x + 2, 3) B + A C(max_y + 3, 3))
+    / 64 words in all.  Its fits masks take one step per shove,
+    D**2 A (max_y + 1).  No code is built.  Exact up to cap, some number
+    past cap beyond it, like family_size.
     """
-    size = family_size(max_x, max_y, max_cols, max_len, cap)
-    codes = size * (max_x + 2) // 2
-    return max(size * size, codes * codes // 64)
+    n = family_size(max_x, max_y, max_cols, max_len, cap)
+    if n > cap:
+        return n
+    groups = diagram_count(max_cols, max_len, cap) ** 2
+    a, b = comb(max_x + 2, 2), comb(max_y + 2, 2)
+    words = groups * groups * ((max_y + 1) * comb(max_x + 2, 3) * b + a * comb(max_y + 3, 3)) // 64
+    return groups * a * b + words + groups * a * (max_y + 1)
 
 
 def upset_size(ideal: Ideal, width_cap: int, cap: int) -> int:

@@ -127,12 +127,14 @@ def _first_child(lam: ShiftClass, floor: int) -> ShiftClass | None:
     # span nonempty.
     if len(lam) == 2:
         return (0,) if floor <= 0 else None
-    d = min(lam[-2], lam[0] - floor)
+    top = lam[0] - floor
+    d = lam[-2] if lam[-2] < top else top
     if d < 0:
         return None
+    low = lam[1] - d
     if d == 0:  # lam's own tail, which ends in 0
-        return (max(lam[1], floor), *lam[2:])
-    return tuple([max(lam[1] - d, floor), *[v - d for v in lam[2:-1]], 0])
+        return (low if low > floor else floor, *lam[2:])
+    return (low if low > floor else floor, *[v - d for v in lam[2:-1]], 0)
 
 
 def gt_children(lam: Sequence[int]) -> frozenset[ShiftClass]:

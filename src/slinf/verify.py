@@ -179,7 +179,8 @@ def suite_names() -> list[str]:
 # replays the predicates through their kernels, which take validated
 # canonical tuples and keep only the checks relating the pair.  The agreement
 # suites ask for a column of answers per lam and mu width, the others ask
-# pair by pair.
+# pair by pair.  Each suite holds the chain oracle's memos, one per target,
+# for as long as it asks that target, and leaves none behind.
 
 
 def _classes(width: int, bound: int) -> list[ShiftClass]:
@@ -188,10 +189,11 @@ def _classes(width: int, bound: int) -> list[ShiftClass]:
 
 
 def _agreement_suite(suite: str, first: str, first_column, second: str, second_column):
-    """A suite replaying two kernel columns of (lam, mus) against each other, narrow lam by wide mu.
+    """A suite replaying two kernel columns of (lam, mus, memo) against each other, narrow lam by wide mu.
 
     A column answers one lam against the mus of one width, and refuses what
-    its per-pair kernel refuses on the first of them.  Refusals read only
+    its per-pair kernel refuses on the first of them.  memo is the chain
+    oracle's for target lam: one dict per lam, across its width blocks.  Refusals read only
     the widths, so asking the first column and then the second, width by
     width, raises the refusal the pairs would raise first.  Only columns that
     differ are walked, in pair order, for their counterexamples.
@@ -207,8 +209,9 @@ def _agreement_suite(suite: str, first: str, first_column, second: str, second_c
         bad = _Collector()
         blocks = [_classes(w, mu_bound) for w in mu_widths]
         for lam in _classes(lam_width, lam_bound):
+            memo: dict[ShiftClass, bool] = {}
             for mus in blocks:
-                answers = first_column(lam, mus), second_column(lam, mus)
+                answers = first_column(lam, mus, memo), second_column(lam, mus, memo)
                 if answers[0] != answers[1]:
                     for mu, a, b in zip(mus, *answers):
                         if a != b:
@@ -231,13 +234,15 @@ def _suite_interlace(grid: dict, ceiling: int) -> VerifyReport:
             break
     _guard(checked, ceiling, "interlace")
     classes = {w: _classes(w, bound) for w in range(1, max_width + 1)}
+    # every lam asks every narrower mu, so each mu's memo lasts the whole run
+    memos: dict[ShiftClass, dict[ShiftClass, bool]] = {mu: {} for mus in classes.values() for mu in mus}
     bad = _Collector()
     for wl in range(1, max_width + 1):
         for lam in classes[wl]:
             for wm in range(1, wl + 1):
                 for mu in classes[wm]:
                     fast = _interlaces(lam, mu)
-                    oracle = _chain_oracle(lam, mu)
+                    oracle = _chain_oracle(lam, mu, memos[mu])
                     if fast != oracle:
                         bad.add({
                             "lam": list(lam), "mu": list(mu),
@@ -258,6 +263,7 @@ def _suite_lemmas(grid: dict, ceiling: int) -> VerifyReport:
     bad = _Collector()
     hits = {"equal_ends": 0, "tight_gaps": 0, "wide_window": 0}
     for lam in lam_list:
+        memo: dict[ShiftClass, bool] = {}
         for mu in mu_list:
             fired = {
                 "equal_ends": _equal_ends(lam, mu),
@@ -270,7 +276,7 @@ def _suite_lemmas(grid: dict, ceiling: int) -> VerifyReport:
                     continue
                 hits[condition] += 1
                 if dominated is None:
-                    dominated = _chain_oracle(mu, lam)
+                    dominated = _chain_oracle(mu, lam, memo)
                 if not dominated:
                     bad.add({
                         "condition": condition, "lam": list(lam), "mu": list(mu),
@@ -395,8 +401,8 @@ def _suite_code_slack(grid: dict, ceiling: int) -> VerifyReport:
 def _ideal_rows(grid: dict, ceiling: int, suite: str, projected) -> tuple[int, list[Ideal], list[int]]:
     """(n, family, inclusion_rows(family)) for the grid's family of n ideals, guarded before enumerating.
 
-    The guard takes the suite's projected(n) checks, or inclusion_rows_checks
-    if those weigh more.
+    The guard takes the suite's projected(n) checks, or the work of
+    inclusion_rows (inclusion_rows_checks) if that weighs more.
     """
     bounds = grid["max_x"], grid["max_y"], grid["max_cols"], grid["max_len"]
     n = family_size(*bounds, ceiling)
@@ -495,7 +501,11 @@ def _full_union_rows(family: list[Ideal]) -> list[int]:
 
 
 def _suite_split_consistency(grid: dict, ceiling: int) -> VerifyReport:
-    n, family, rows = _ideal_rows(grid, ceiling, "split-consistency", lambda n: n * n)
+    # the full-union reference orders the family's codes, x + 1 per ideal of
+    # x: n (max_x + 2) / 2 codes, at 64 code pairs to a check
+    n, family, rows = _ideal_rows(
+        grid, ceiling, "split-consistency", lambda n: max(n * n, (n * (grid["max_x"] + 2) // 2) ** 2 // 64)
+    )
     checked = n * n
     bad = _Collector()
     # inclusion_rows decides on each outer ideal's (x, 0) split alone, from
@@ -553,19 +563,23 @@ def _suite_tord_discrepancy(grid: dict, ceiling: int) -> VerifyReport:
     return _finish("tord-discrepancy", grid, 3 * n * n, bad, details)
 
 
-def _avoiding_column(lam: ShiftClass, mus: list[ShiftClass]) -> list[bool]:
+def _avoiding_column(lam: ShiftClass, mus: list[ShiftClass], memo: dict[ShiftClass, bool]) -> list[bool]:
     """The avoiding system's membership through the chain oracle: mu belongs iff it does not dominate lam."""
-    return [not dominates for dominates in _oracle_column(lam, mus)]
+    return [not dominates for dominates in _oracle_column(lam, mus, memo)]
 
 
 # the suites call kernels, not the public predicates, so wrappers on those
-# see no suite pairs
+# see no suite pairs; the closed-form columns search nothing and take no memo
 _SUITES = {
     # the chain oracle asked whether each mu dominates lam
-    "lgts2": _agreement_suite("lgts2", "gap_criterion", _gap_column, "chain_oracle", _oracle_column),
+    "lgts2": _agreement_suite(
+        "lgts2", "gap_criterion", lambda lam, mus, memo: _gap_column(lam, mus), "chain_oracle", _oracle_column
+    ),
     "interlace": _suite_interlace,
     "lemmas": _suite_lemmas,
-    "pmain": _agreement_suite("pmain", "avoiding_system", _avoiding_column, "gap_union", _gap_union_column),
+    "pmain": _agreement_suite(
+        "pmain", "avoiding_system", _avoiding_column, "gap_union", lambda lam, mus, memo: _gap_union_column(lam, mus)
+    ),
     "tiap-order": _suite_tiap_order,
     "code-slack": _suite_code_slack,
     "ideal-order": _suite_ideal_order,

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slinf import ideals, verify
 from slinf.cli import main
 from slinf.ideals import Ideal, containing_ideals, enumerate_ideals, highest_weight, make_weight
 from slinf.verify import load_grid_config, suite_names
@@ -378,7 +379,8 @@ def test_verify_ceiling_estimate_is_bounded(capsys, tmp_path):
 
 def test_verify_guards_count_code_rows_before_enumerating(capsys, monkeypatch, tmp_path):
     # 3 001 ideals pass as pairs (acc projects 3 001**2 + 1 000 checks, under the
-    # ceiling), but the guard also counts the code pairs of their 4.5 * 10**6 codes
+    # ceiling), but the guard also counts the work of inclusion_rows on them:
+    # 79 462 212 words, almost all of them the ANDs of the 4.5 * 10**6 (x, dx) pairs
     def forbidden(*args):
         raise AssertionError("enumeration started")
 
@@ -390,6 +392,25 @@ def test_verify_guards_count_code_rows_before_enumerating(capsys, monkeypatch, t
     for suite in suites:
         code, out, err = run(capsys, "verify", suite, "--grid-file", str(grids))
         assert (code, out) == (2, "") and "above the ceiling" in err, (suite, err)
+
+
+def test_ideal_suite_guards_count_the_column_route(monkeypatch):
+    # (300, 0, 0, 0) has 301 ideals and 45 451 codes; the code route, which
+    # no suite's rows take, counted 32 278 021 checks for them and refused
+    # the family, while inclusion_rows does 162 629 words of work
+    chain = {"max_x": 300, "max_y": 0, "max_cols": 0, "max_len": 0}
+    assert ideals.inclusion_rows_checks(*chain.values(), verify.DEFAULT_CEILING) == 162_629
+    report = verify.run_suite("ideal-order", chain)
+    assert report.failed == 0 and report.checked == 301 * 301 + 301 + 301 * 300 // 2
+    # split-consistency's full-union reference orders those codes, so it stays refused
+    with pytest.raises(verify.GridTooLargeError, match="32278021"):
+        verify.run_suite("split-consistency", chain)
+    # (4, 358, 0, 0): 1 795 ideals project 6 445 845 checks, but the column
+    # work is 10 046 727 words, refused before enumerating; (4, 357, 0, 0) counts 9 965 825
+    assert verify.run_suite("ideal-order", {**chain, "max_x": 4, "max_y": 357}).failed == 0
+    monkeypatch.setattr("slinf.verify.enumerate_ideals", lambda *args: pytest.fail("enumeration started"))
+    with pytest.raises(verify.GridTooLargeError, match="10046727"):
+        verify.run_suite("ideal-order", {**chain, "max_x": 4, "max_y": 358})
 
 
 def test_verify_refusals_print_one_error_line(capsys, tmp_path):

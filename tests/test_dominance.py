@@ -30,6 +30,17 @@ def all_classes(max_width, bound, min_width=1):
     return [c for w in range(min_width, max_width + 1) for c in enumerate_classes(w, bound)]
 
 
+def cold_oracle_table():
+    # the public oracle's per-target memos, emptied as a fresh process has them
+    dominance._ORACLE_MEMOS.clear()
+    return dominance._ORACLE_MEMOS
+
+
+def memo_entries(table):
+    # the (target, intermediate) pairs a table of per-target memos holds
+    return sum(map(len, table.values()))
+
+
 def test_oracle_examples():
     assert dominates_oracle((1, 0), (0,)) is True
     assert dominates_oracle((2, 0), (2, 0)) is True
@@ -41,7 +52,7 @@ def test_oracle_rejects_wider_target():
 
 
 @given(small_partitions, small_partitions, st.integers(-4, 4), st.integers(-4, 4))
-@settings(max_examples=60, deadline=None)  # first oracle call per class warms a shared cache
+@settings(max_examples=60, deadline=None)  # first oracle call per class warms a shared memo
 def test_oracle_shift_invariant(lam, mu, d1, d2):
     assert dominates_oracle(lam, mu) == dominates_oracle(shift(lam, d1), shift(mu, d2))
 
@@ -179,16 +190,15 @@ def _dominates_unpruned(top, target):
     return any(_dominates_unpruned(child, target) for child in gt_children(top))
 
 
-@cache
-def _dominates_by_enumerator(top, target):
+def _dominates_by_enumerator(top, target, memo):
     # the pruned search with no first-child probe: the enumerator alone, in
     # its order, as the reference for the memo the probe leaves behind
-    if len(top) == len(target):
-        return top == target
-    for child in _iter_children(top, target[0]):
-        if _dominates_by_enumerator(child, target):
-            return True
-    return False
+    if top not in memo:
+        if len(top) == len(target):
+            memo[top] = top == target
+        else:
+            memo[top] = any(_dominates_by_enumerator(child, target, memo) for child in _iter_children(top, target[0]))
+    return memo[top]
 
 
 def dominates_reference(lam, mu):
@@ -237,12 +247,12 @@ def wide_pairs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_pruned_oracle_matches_unpruned_search(pair):
     lam, mu = pair
-    dominance._dominates.cache_clear()
+    table = cold_oracle_table()
     assert dominates_oracle(lam, mu) == dominates_reference(lam, mu), (lam, mu)
     # the pruning is taken: no class of smaller spread than mu is searched,
     # and a root of smaller spread answers before the search starts
     space = pruned_search_space(canonicalize(lam), canonicalize(mu))
-    assert dominance._dominates.cache_info().currsize <= len(space), (lam, mu)
+    assert memo_entries(table) <= len(space), (lam, mu)
     assert avoiding_system_contains(lam, mu) == avoiding_reference(lam, mu), (lam, mu)
     assert avoiding_system_contains(mu, lam) == avoiding_reference(mu, lam), (lam, mu)
 
@@ -259,17 +269,17 @@ def test_oracle_decides_by_chain_search_alone(monkeypatch):
     for name in closed_forms:
         monkeypatch.setattr(dominance, name, forbidden)
     monkeypatch.setattr("slinf.dominance.is_gt_step", forbidden)
-    dominance._dominates.cache_clear()
+    cold_oracle_table()
     classes = all_classes(5, 3)
     for lam in classes:
         for mu in classes:
             assert dominates_oracle(lam, mu) == dominates_reference(lam, mu), (lam, mu)
     # the oracle column, by which the agreement suites ask, searches the same way
-    dominance._dominates.cache_clear()
     for target in classes:
+        memo = {}
         for width in range(1, 6):
             tops = enumerate_classes(width, 3)
-            assert dominance._oracle_column(target, tops) == [dominates_reference(top, target) for top in tops]
+            assert dominance._oracle_column(target, tops, memo) == [dominates_reference(top, target) for top in tops]
 
 
 def answers_or_refusal(call):
@@ -280,12 +290,20 @@ def answers_or_refusal(call):
 
 
 def test_columns_equal_their_per_pair_kernels():
-    # every lam against the mus of each width, narrower ones and refusals included
-    dominance._dominates.cache_clear()
+    # every lam against the mus of each width, narrower ones and refusals
+    # included; the columns and the per-pair kernels keep memos apart, one
+    # per target lam
     classes = {w: enumerate_classes(w, 4) for w in range(1, 7)}
+    column_memos, pair_memos = {}, {}
+
+    def memos(lam):
+        return column_memos.setdefault(lam, {}), pair_memos.setdefault(lam, {})
+
     columns = (
-        (dominance._oracle_column, lambda lam, mu: dominance._chain_oracle(mu, lam)),
-        (_avoiding_column, lambda lam, mu: not dominance._chain_oracle(mu, lam)),
+        (lambda lam, mus: dominance._oracle_column(lam, mus, memos(lam)[0]),
+         lambda lam, mu: dominance._chain_oracle(mu, lam, memos(lam)[1])),
+        (lambda lam, mus: _avoiding_column(lam, mus, memos(lam)[0]),
+         lambda lam, mu: not dominance._chain_oracle(mu, lam, memos(lam)[1])),
         (dominance._gap_column, lambda lam, mu: dominance._gap_criterion(mu, lam)),
         (_gap_union_column, _gap_union),
     )
@@ -303,13 +321,22 @@ def test_columns_equal_their_per_pair_kernels():
         assert column(deep[0], [(1, 0), (0, 0)]) == [kernel(deep[0], mu) for mu in ((1, 0), (0, 0))]
 
 
-def test_cold_suites_memoize_the_parents_pairs():
-    # the columns ask the memoized search the same (intermediate, target)
-    # pairs as the per-pair calls did, so a cold suite leaves the same memo
-    for suite, misses in (("pmain", 41_898), ("lgts2", 21_944), ("interlace", 7_800)):
-        dominance._dominates.cache_clear()
+def test_cold_suites_memoize_the_parents_pairs(monkeypatch):
+    # the memos a suite passes to the search hold, summed, the same
+    # (target, intermediate) pairs as the one process-wide cache the search
+    # had before the suites scoped its memo: those counts are pinned here
+    real = dominance._dominates
+    passed = {}
+
+    def recording(top, target, memo):
+        passed[id(memo)] = memo
+        return real(top, target, memo)
+
+    monkeypatch.setattr(dominance, "_dominates", recording)
+    for suite, pairs in (("pmain", 41_898), ("lgts2", 21_944), ("interlace", 7_800), ("lemmas", 484)):
+        passed.clear()
         assert run_suite(suite).failed == 0
-        assert dominance._dominates.cache_info().misses == misses, suite
+        assert sum(map(len, passed.values())) == pairs, suite
 
 
 def per_pair_report(grid, first, first_fn, second, second_fn):
@@ -333,7 +360,8 @@ def test_agreement_suites_report_counterexamples_in_pair_order(monkeypatch, over
         return len(mu) > 1 and mu[1] == 3
 
     def flip_column(column):
-        return lambda lam, mus: [answer != flipped(mu) for answer, mu in zip(column(lam, mus), mus)]
+        # a closed-form column, which takes no memo, in the agreement suites' signature
+        return lambda lam, mus, memo: [answer != flipped(mu) for answer, mu in zip(column(lam, mus), mus)]
 
     def flip_pair(fn):
         return lambda lam, mu: fn(lam, mu) != flipped(mu)
@@ -369,7 +397,7 @@ def test_oracle_never_materializes_a_child_set(monkeypatch):
     ]:
         if getattr(module, "gt_children", None) is gt_children:
             monkeypatch.setattr(module, "gt_children", forbidden)
-    dominance._dominates.cache_clear()
+    cold_oracle_table()
     for (lam, mu), answer in expected.items():
         assert dominates_oracle(lam, mu) == answer, (lam, mu)
     report = run_suite("pmain")
@@ -379,7 +407,7 @@ def test_oracle_never_materializes_a_child_set(monkeypatch):
 def test_oracle_memory_stays_flat_in_the_spread():
     # (10**6, 0, 0) has 10**6 + 1 children, and the only one its floor lets
     # through is the target
-    dominance._dominates.cache_clear()
+    cold_oracle_table()
     tracemalloc.start()
     try:
         assert dominates_oracle((10**6, 0, 0), (10**6, 0)) is True
@@ -391,24 +419,23 @@ def test_oracle_memory_stays_flat_in_the_spread():
 
 def test_first_child_probe_keeps_the_search_space():
     # probing the first child before starting the enumerator changes neither
-    # the answer nor the (intermediate, target) pairs a cold search memoizes
+    # the answer nor the intermediates, and their answers, a cold search memoizes
     classes = all_classes(6, 4)
     for lam in classes:
         for mu in classes:
             if len(lam) < len(mu) or lam[0] < mu[0]:
                 continue  # _chain_oracle answers these before any search
-            dominance._dominates.cache_clear()
-            _dominates_by_enumerator.cache_clear()
+            table = cold_oracle_table()
+            reference = {}
             answer = dominates_oracle(lam, mu)
-            assert answer == _dominates_by_enumerator(lam, mu), (lam, mu)
-            assert (dominance._dominates.cache_info().currsize
-                    == _dominates_by_enumerator.cache_info().currsize), (lam, mu)
+            assert answer == _dominates_by_enumerator(lam, mu, reference), (lam, mu)
+            assert table == {mu: reference}, (lam, mu)
 
 
 def test_oracle_memory_stays_flat_in_the_first_span():
     # the first child of (10**6, 0, 0) under the floor 5 is the target, so
     # the search answers before the enumerator builds its 10**6 - 4 values
-    dominance._dominates.cache_clear()
+    cold_oracle_table()
     tracemalloc.start()
     try:
         assert dominates_oracle((10**6, 0, 0), (5, 0)) is True
@@ -444,7 +471,7 @@ def test_dominance_suites_validate_each_class_once(monkeypatch):
 def test_chain_depth_limit_refuses_wider_gaps():
     # (1, 0, ..., 0) reaches (1, 0) along one chain, so the deepest allowed
     # search is cheap, and it must fit in the interpreter's stack under pytest
-    dominance._dominates.cache_clear()  # no memoized tail may shorten the recursion
+    cold_oracle_table()  # no memoized tail may shorten the recursion
     deepest = (1,) + (0,) * (MAX_CHAIN_DEPTH + 1)
     assert dominates_oracle(deepest, (1, 0)) is True
     too_deep = deepest + (0,)
