@@ -192,11 +192,12 @@ def _agreement_suite(suite: str, first: str, first_column, second: str, second_c
     """A suite replaying two kernel columns of (lam, mus, memo) against each other, narrow lam by wide mu.
 
     A column answers one lam against the mus of one width, and refuses what
-    its per-pair kernel refuses on the first of them.  memo is the chain
-    oracle's for target lam: one dict per lam, across its width blocks.  Refusals read only
+    its per-pair kernel refuses on the first of them.  Refusals read only
     the widths, so asking the first column and then the second, width by
     width, raises the refusal the pairs would raise first.  Only columns that
-    differ are walked, in pair order, for their counterexamples.
+    differ are walked, in pair order, for their counterexamples.  memo is
+    the chain oracle's for target lam: one dict per lam, across its width
+    blocks, dropped when lam changes.
     """
 
     def run(grid: dict, ceiling: int) -> VerifyReport:

@@ -324,19 +324,24 @@ def test_columns_equal_their_per_pair_kernels():
 def test_cold_suites_memoize_the_parents_pairs(monkeypatch):
     # the memos a suite passes to the search hold, summed, the same
     # (target, intermediate) pairs as the one process-wide cache the search
-    # had before the suites scoped its memo: those counts are pinned here
+    # had before the suites scoped its memo (its misses, pinned here), and
+    # the search runs once per pair
     real = dominance._dominates
     passed = {}
+    searches = 0
 
     def recording(top, target, memo):
+        nonlocal searches
+        searches += 1
         passed[id(memo)] = memo
         return real(top, target, memo)
 
     monkeypatch.setattr(dominance, "_dominates", recording)
     for suite, pairs in (("pmain", 41_898), ("lgts2", 21_944), ("interlace", 7_800), ("lemmas", 484)):
         passed.clear()
+        searches = 0
         assert run_suite(suite).failed == 0
-        assert sum(map(len, passed.values())) == pairs, suite
+        assert sum(map(len, passed.values())) == searches == pairs, suite
 
 
 def per_pair_report(grid, first, first_fn, second, second_fn):
