@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from . import verify
-from .cls_codes import ClsCode, code_included
+from .cls_codes import ClsCode, bit_indices, code_included
 from .dominance import dominates_interlace, dominates_oracle, gap_criterion
 from .hasse import _hasse_checks, family_hasse
 from .ideals import (
     Ideal,
-    containing_ideals,
+    _upset_rows,
     highest_weight,
     is_contained,
     split_code,
@@ -216,12 +215,12 @@ def _cmd_ideal_upset(args) -> int:
     ideal = _parse_ideal(args.ideal)
     size = upset_size(ideal, args.cap, verify.DEFAULT_CEILING)
     _refuse_past_ceiling(size, f"the upset of {ideal}", "inclusion checks", "--cap or the ideal's x")
-    # Ideal.to_json with sort_keys, one f-string per ideal; each distinct diagram is encoded once
-    diagram = cache(lambda yd: json.dumps(list(yd)))
-    _emit_each(
-        f'{{"x": {i.x}, "y": {i.y}, "yl": {diagram(i.yl)}, "yr": {diagram(i.yr)}}}'
-        for i in containing_ideals(ideal, args.cap)
-    )
+    right, rows = _upset_rows(ideal, args.cap)
+    # Ideal.to_json with sort_keys, written row by row: each right diagram's text is
+    # encoded once, each row's x, y and yl once, and no Ideal is built
+    tails = [json.dumps(list(yr)) + "}" for yr in right]
+    prefixes = ((f'{{"x": {x}, "y": {y}, "yl": {json.dumps(list(yl))}, "yr": ', mask) for x, y, yl, mask in rows)
+    _emit_each(", ".join(prefix + tails[j] for j in bit_indices(mask)) for prefix, mask in prefixes)
     return 0
 
 

@@ -54,9 +54,10 @@ def _graph(ideals: Iterable[Ideal]) -> tuple[list[Ideal], list[tuple[int, int]]]
 def hasse_dot(ideals: Sequence[Ideal]) -> str:
     """DOT digraph of the covering relations, edges from smaller to larger ideal."""
     family, edges = _graph(ideals)
+    labels = [f'"{node}"' for node in family]  # each node's label is rendered once, not once per edge
     lines = ["digraph ideal_inclusions {"]
-    lines.extend(f'  "{node}";' for node in family)
-    lines.extend(f'  "{family[a]}" -> "{family[b]}";' for a, b in edges)
+    lines.extend(f"  {label};" for label in labels)
+    lines.extend(f"  {labels[a]} -> {labels[b]};" for a, b in edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

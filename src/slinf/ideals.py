@@ -11,10 +11,11 @@ ascending-chain corollaries.  A single ideal pair compares the outer ideal's
 (x, 0) split with the inner ideal's codes, reading the code slacks directly
 from the diagram columns (``is_contained``); an upset decides every
 candidate at once from one table of column deficits, the same slacks
-negated, and comes out in canonical order with no sort
-(``containing_ideals``); a whole family is decided on the same slacks as
-bitset rows over the ideals, built by mask algebra from one table of
-column slacks, with no code built (``inclusion_rows``), and the
+negated, as one bitmask row per (x', y', Yl) over the right diagrams, in
+canonical order with no sort (``containing_ideals``); a whole family is
+decided on the same slacks as bitset rows over the ideals, built by mask
+algebra from one table of column slacks, with no code built
+(``inclusion_rows``), and the
 ``split-consistency`` suite replays those rows against the full code
 unions, which it does build.  Every route rests on one slack form:
 a split a + b = d fits under two slacks s_p, s_q iff s_p >= 0, s_q >= 0 and
@@ -524,17 +525,30 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
     is capped by width_cap because the full upset can be infinite (adding
     one-cell columns can absorb an exterior factor indefinitely).
 
+    The ideals of _upset_rows' rows, in canonical (Ideal.sort_key) order
+    with no sort.  The tests check the answers against the full code unions
+    (union_included over cls_union), a route independent of this one.
+    """
+    right, rows = _upset_rows(ideal, width_cap)
+    return [Ideal._trusted(x, y, yl, right[j]) for x, y, yl, mask in rows for j in bit_indices(mask)]
+
+
+def _upset_rows(
+    ideal: Ideal, width_cap: int
+) -> tuple[list[YoungDiagram], Iterator[tuple[int, int, YoungDiagram, int]]]:
+    """The upset as rows: the sorted right diagrams, and (x', y', L, mask) for each candidate row that is not empty.
+
     Decided in is_contained's deficit form, never candidate by candidate:
     J = (x', y', L, R) contains the ideal iff some split c0 in x'..x has
     e_L(L, c0 - x') + e_R(R, x - c0) <= d = y - y'.  The right deficits see
     neither x' nor y', so one table, within[c0][k] = {R : e_R(R, x - c0) <= k}
     for k = 0..y as bitmasks over the right diagrams, serves every
     candidate, and each (x', y', L) ORs within[c0][d - e_L] over the splits
-    with e_L <= d.  The candidates are read x' by x', y' by y', left diagram
-    by left diagram and right diagram by bit: the diagrams are enumerated
-    sorted, so the upset comes out in canonical (Ideal.sort_key) order with
-    no sort.  The tests check the answers against the full code unions
-    (union_included over cls_union), a route independent of this one.
+    with e_L <= d: bit j of its mask is the candidate with R = right[j].
+    The rows come x' by x', y' by y', left diagram by left diagram, and the
+    diagrams are enumerated sorted, so reading each mask bit by bit gives
+    the canonical order.  The refusals and the table come at the call; the
+    rows are decided as they are read.
     """
     if ideal.zero:
         raise ValueError("the upset of the zero ideal is the whole lattice; enumerate a family instead")
@@ -548,18 +562,20 @@ def containing_ideals(ideal: Ideal, width_cap: int) -> list[Ideal]:
         deficits = [-_column_slack(ideal.yr, yr, ideal.x - c0, True) for yr in right]
         within.append([sum(1 << j for j, e in enumerate(deficits) if e <= k) for k in range(ideal.y + 1)])
     full = (1 << len(right)) - 1
-    found = []
-    # x, y, the sorted left diagrams and the right ones in bit order: Ideal.sort_key order, so nothing is sorted
-    for x in range(ideal.x + 1):
-        for y in range(ideal.y + 1):
-            d = ideal.y - y
-            for yl in left:
-                row = 0
-                for c0 in range(x, ideal.x + 1):
-                    e = -_column_slack(ideal.yl, yl, c0 - x, True)
-                    if e <= d:
-                        row |= within[c0][d - e]
-                        if row == full:
-                            break
-                found.extend(Ideal._trusted(x, y, yl, right[j]) for j in bit_indices(row))
-    return found
+
+    def rows() -> Iterator[tuple[int, int, YoungDiagram, int]]:
+        for x in range(ideal.x + 1):
+            for y in range(ideal.y + 1):
+                d = ideal.y - y
+                for yl in left:
+                    row = 0
+                    for c0 in range(x, ideal.x + 1):
+                        e = -_column_slack(ideal.yl, yl, c0 - x, True)
+                        if e <= d:
+                            row |= within[c0][d - e]
+                            if row == full:
+                                break
+                    if row:
+                        yield x, y, yl, row
+
+    return right, rows()

@@ -163,14 +163,37 @@ def test_ideal_upset_prints_the_upset_json_byte_for_byte(capsys):
             assert run(capsys, *argv) == (0, upset_json(ideal, cap), ""), argv
 
 
-def test_lattice_upset_answers_are_unchanged(capsys):
+def test_lattice_upset_answers_are_unchanged(capsys, monkeypatch):
     # the benchmark's four upsets: byte for byte by definition, and one sha256 over their output
+    expected = [upset_json(ideal, 4) for ideal in LATTICE_UPSETS]
+
+    def forbidden(*args):
+        raise AssertionError("an Ideal was built for an answer")
+
+    # the command writes the answers from the decision's rows, with no Ideal per answer
+    monkeypatch.setattr(Ideal, "_trusted", forbidden)
     digest = hashlib.sha256()
-    for ideal in LATTICE_UPSETS:
+    for ideal, text in zip(LATTICE_UPSETS, expected):
         code, out, err = run(capsys, "ideal", "upset", json.dumps(ideal.to_json()), "--cap", "4")
-        assert (code, out, err) == (0, upset_json(ideal, 4), "")
+        assert (code, out, err) == (0, text, "")
         digest.update(out.encode())
     assert digest.hexdigest() == (GOLDEN / "lattice-upsets.sha256").read_text(encoding="utf-8").strip()
+
+
+def test_wide_upsets_print_the_upset_json_byte_for_byte(capsys):
+    # x = 3 and y = 3 at small caps: rows holding several answers are joined into one
+    # item, and candidate rows holding none are skipped without a separator
+    joined = skipped = 0
+    for ideal in (Ideal(3, 3, (3, 2), (3, 1)), Ideal(3, 0, (2,), (1, 1)), Ideal(0, 3, (1,), (2, 2)), Ideal(3, 3)):
+        max_l, _ = ideals._longest_columns(ideal)
+        for cap in range(3):
+            argv = ["ideal", "upset", json.dumps(ideal.to_json()), "--cap", str(cap)]
+            assert run(capsys, *argv) == (0, upset_json(ideal, cap), ""), argv
+            _, rows = ideals._upset_rows(ideal, cap)
+            masks = [mask for *_, mask in rows]
+            joined += sum(mask.bit_count() > 1 for mask in masks)
+            skipped += (ideal.x + 1) * (ideal.y + 1) * len(ideals.enumerate_diagrams(cap, max_l)) - len(masks)
+    assert joined > 0 and skipped > 0
 
 
 LATTICE_HASSE = [

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from slinf.cls_codes import cover_walk, or_of_rows
-from slinf.hasse import covering_relations, family_hasse, hasse_adjacency
+from slinf.hasse import covering_relations, family_hasse, hasse_adjacency, hasse_dot
 from slinf.ideals import (
     AUGMENTATION_IDEAL,
     ZERO_IDEAL,
@@ -45,6 +45,21 @@ def test_single_column_family_graph():
 def test_all_zero_bounds_single_node():
     dot = family_hasse(0, 0, 0, 0, "dot")
     assert dot == 'digraph ideal_inclusions {\n  "I(0,0,[],[])";\n}\n'
+
+
+def test_dot_renders_each_node_once(monkeypatch):
+    family = enumerate_ideals(2, 2, 2, 2)
+    expected = family_hasse(2, 2, 2, 2, "dot")
+    rendered = []
+    render = Ideal.__str__
+
+    def counted(ideal):
+        rendered.append(ideal)
+        return render(ideal)
+
+    monkeypatch.setattr(Ideal, "__str__", counted)
+    assert hasse_dot(family) == expected
+    assert sorted(rendered, key=Ideal.sort_key) == family  # once per node, not once per edge end
 
 
 def test_dot_output_is_deterministic():

@@ -16,6 +16,7 @@ from slinf.ideals import (
     Ideal,
     _column_rows,
     _column_slack,
+    _upset_rows,
     acc_measure,
     cls_union,
     code_sequence,
@@ -253,6 +254,15 @@ def test_containing_ideals_examples():
 def test_containing_ideals_rejects_zero():
     with pytest.raises(ValueError):
         containing_ideals(ZERO_IDEAL, 3)
+    with pytest.raises(ValueError):
+        _upset_rows(ZERO_IDEAL, 3)  # at the call, before any row is read
+
+
+def test_containing_ideals_rejects_a_negative_cap():
+    with pytest.raises(ValueError, match="width_cap"):
+        containing_ideals(Ideal(1, 1), -1)
+    with pytest.raises(ValueError, match="width_cap"):
+        _upset_rows(Ideal(1, 1), -1)
 
 
 def test_enumerate_diagrams():
