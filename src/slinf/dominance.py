@@ -29,16 +29,17 @@ never inside the predicates, so each piece stays falsifiable on its own.
 
 Each public predicate validates its arguments (the oracle also
 canonicalizes them) and then calls a private kernel on the validated
-tuples: ``_chain_oracle``, ``_interlaces``, ``_gap_criterion``,
+tuples: ``_oracle_column``, ``_interlaces``, ``_gap_column``,
 ``_equal_ends``, ``_tight_gaps`` and ``_wide_window``.  A kernel keeps only
-the checks that relate its two arguments, such as the oracle's depth limit;
-the oracle's kernels also take the memo for their target.
-Two kernels also come as columns, the answers of one lam against a list of
-mus of one width: ``_oracle_column`` and ``_gap_column``.  The checks that
-read only the widths run once per column, so a column answers, and refuses,
-as its per-pair kernel would on each of its pairs in order.  The verify
-suites validate each grid class once and call the kernels, so a pair costs
-no validation; wrappers set on the public names see no suite pairs.
+the checks that relate its arguments, such as the oracle's depth limit; the
+oracle's kernel also takes the memo for its target.
+The chain oracle and the gap criterion have one kernel each, a column: the
+answers of one lam against a list of mus of one width.  The checks that read
+only the widths, refusals included, run once per column, and a per-pair
+caller asks for a column of one.  The verify suites validate each grid class
+once and call the same kernels, so a pair costs no validation and the suites
+replay the code that the public predicates run; wrappers set on the public
+names see no suite pairs.
 """
 
 from __future__ import annotations
@@ -108,33 +109,22 @@ def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
     the life of the process.
     """
     target = canonicalize(mu)
-    return _chain_oracle(canonicalize(lam), target, _ORACLE_MEMOS.setdefault(target, {}))
+    return _oracle_column(target, [canonicalize(lam)], _ORACLE_MEMOS.setdefault(target, {}))[0]
 
 
-def _chain_oracle(top: ShiftClass, target: ShiftClass, memo: dict[ShiftClass, bool]) -> bool:
-    # dominates_oracle on canonical classes, with the caller's memo for target
-    gap = len(top) - len(target)
+def _oracle_column(target: ShiftClass, tops: list[ShiftClass], memo: dict[ShiftClass, bool]) -> list[bool]:
+    # whether each top dominates target, for a nonempty list of canonical tops
+    # of one width, with the caller's memo for target: the width checks are
+    # made once, and each top gets the spread test and the memoized search in
+    # order, so the memo holds the intermediates of one search per top
+    gap = len(tops[0]) - len(target)
     if gap < 0:
-        return False
+        return [False] * len(tops)
     if gap > MAX_CHAIN_DEPTH:
         raise ValueError(
             f"the chain oracle searches width gaps up to MAX_CHAIN_DEPTH = {MAX_CHAIN_DEPTH}, "
             f"got {gap}; decide wider inputs with dominates_interlace (--method interlace)"
         )
-    if top[0] < target[0]:
-        return False
-    answer = memo.get(top)
-    return _dominates(top, target, memo) if answer is None else answer
-
-
-def _oracle_column(target: ShiftClass, tops: list[ShiftClass], memo: dict[ShiftClass, bool]) -> list[bool]:
-    # [_chain_oracle(top, target, memo) for top in tops], for a nonempty list
-    # of tops of one width: the width checks are made once, and each top gets
-    # the spread test and the memoized search in order, so the memo holds the
-    # same intermediates as under the per-pair calls
-    gap = len(tops[0]) - len(target)
-    if not 0 <= gap <= MAX_CHAIN_DEPTH:
-        return [_chain_oracle(tops[0], target, memo)] * len(tops)  # False, or the depth refusal
     floor, get = target[0], memo.get
     answers = []
     for top in tops:
@@ -180,28 +170,15 @@ def gap_criterion(mu: Sequence[int], lam: Sequence[int]) -> bool:
     bound 6).  Invariant under shifting either argument.
     """
     mu = as_zpartition(mu)
-    return _gap_criterion(mu, as_zpartition(lam))
-
-
-def _gap_criterion(mu: ZPartition, lam: ZPartition) -> bool:
-    # gap_criterion on validated partitions
-    if len(mu) < len(lam):
-        raise ValueError(f"need #mu >= #lam, got {len(mu)} < {len(lam)}")
-    off = len(mu) - len(lam)
-    n = len(lam)
-    for k in range(n):
-        for l in range(k + 1, n):
-            if mu[k] - mu[off + l] < lam[k] - lam[l]:
-                return False
-    return True
+    return _gap_column(as_zpartition(lam), [mu])[0]
 
 
 def _gap_column(lam: ZPartition, mus: list[ZPartition]) -> list[bool]:
-    # [_gap_criterion(mu, lam) for mu in mus], for a nonempty list of mus of
-    # one width, with lam's index pairs and their gaps listed once
+    # gap_criterion(mu, lam) for each mu of a nonempty list of validated mus
+    # of one width, with lam's index pairs and their gaps listed once
     off = len(mus[0]) - len(lam)
     if off < 0:
-        return [_gap_criterion(mus[0], lam)] * len(mus)  # the narrow-mu refusal
+        raise ValueError(f"need #mu >= #lam, got {len(mus[0])} < {len(lam)}")
     pairs = [(k, off + l, lam[k] - lam[l]) for k in range(len(lam)) for l in range(k + 1, len(lam))]
     answers = []
     for mu in mus:
@@ -246,7 +223,7 @@ def tight_gaps_hypotheses(lam: Sequence[int], mu: Sequence[int]) -> bool:
 
 def _tight_gaps(lam: ZPartition, mu: ZPartition) -> bool:
     # tight_gaps_hypotheses on validated partitions
-    if len(mu) < 2 * len(lam) or not _gap_criterion(mu, lam):
+    if len(mu) < 2 * len(lam) or not _gap_column(lam, [mu])[0]:
         return False
     off = len(mu) - len(lam)
     n = len(lam)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .dominance import _gap_column, _gap_criterion, dominates_interlace
+from .dominance import _gap_column, dominates_interlace
 from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
 
 
@@ -97,26 +97,22 @@ def gap_union_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
     mu belongs iff mu_k - mu_{#mu - #lam + l} < lam_k - lam_l for some pair
     1 <= k < l <= #lam, or #mu < #lam.  Needs #lam >= 2 (no pairs exist
     otherwise).  The same test as gap_system_contains over every pair, with
-    mu validated once.  The ``pmain`` suite calls ``_gap_union_column``, the
-    kernel ``_gap_union`` over the mus of one width, on classes it has
-    validated.
+    mu validated once.  It asks ``_gap_union_column``, the kernel that the
+    ``pmain`` suite calls on whole columns of classes it has validated, for a
+    column of one.
     """
     lam = as_zpartition(lam)
-    return _gap_union(lam, as_zpartition(mu))
-
-
-def _gap_union(lam: ZPartition, mu: ZPartition) -> bool:
-    # gap_union_contains on validated partitions: a pair k < l admits mu
-    # exactly where the gap criterion fails on it
-    if len(lam) < 2:
-        raise ValueError("the gap union needs a partition of width >= 2")
-    return len(mu) < len(lam) or not _gap_criterion(mu, lam)
+    return _gap_union_column(lam, [as_zpartition(mu)])[0]
 
 
 def _gap_union_column(lam: ZPartition, mus: list[ZPartition]) -> list[bool]:
-    # [_gap_union(lam, mu) for mu in mus], for a nonempty list of mus of one width
-    if len(lam) < 2 or len(mus[0]) < len(lam):
-        return [_gap_union(lam, mus[0])] * len(mus)  # the width refusal, or every mu admitted
+    # gap_union_contains(lam, mu) for each mu of a nonempty list of validated
+    # mus of one width: a pair k < l admits mu exactly where the gap
+    # criterion fails on it
+    if len(lam) < 2:
+        raise ValueError("the gap union needs a partition of width >= 2")
+    if len(mus[0]) < len(lam):
+        return [True] * len(mus)
     return [not fits for fits in _gap_column(lam, mus)]
 
 
@@ -125,7 +121,7 @@ def gap_union_system(lam: Sequence[int]) -> LocalSystem:
     if len(lam_c) < 2:
         raise ValueError("the gap union needs a partition of width >= 2")
     return LocalSystem(
-        contains=lambda mu: gap_union_contains(lam_c, mu),
+        contains=lambda mu: _gap_union_column(lam_c, [as_zpartition(mu)])[0],
         description=f"union of gap systems of {list(lam_c)}",
     )
 
@@ -144,8 +140,13 @@ def forbidden_to_coherent(lams: Iterable[Sequence[int]]) -> LocalSystem:
         raise ValueError("need at least one forbidden partition")
     if any(len(lam) < 2 for lam in canon):
         raise ValueError("every forbidden partition must have width >= 2")
+
+    def contains(mu: Sequence[int]) -> bool:
+        column = [as_zpartition(mu)]
+        return all(_gap_union_column(lam, column)[0] for lam in canon)
+
     return LocalSystem(
-        contains=lambda mu: all(gap_union_contains(lam, mu) for lam in canon),
+        contains=contains,
         description=f"coherent intersection forbidding {[list(c) for c in canon]}",
     )
 

@@ -33,7 +33,7 @@ from .cls_codes import (
     or_of_rows,
     seq_slack,
 )
-from .dominance import _chain_oracle, _equal_ends, _gap_column, _interlaces, _oracle_column, _tight_gaps, _wide_window
+from .dominance import _equal_ends, _gap_column, _interlaces, _oracle_column, _tight_gaps, _wide_window
 from .ideals import (
     AUGMENTATION_IDEAL,
     Ideal,
@@ -191,13 +191,12 @@ def _classes(width: int, bound: int) -> list[ShiftClass]:
 def _agreement_suite(suite: str, first: str, first_column, second: str, second_column):
     """A suite replaying two kernel columns of (lam, mus, memo) against each other, narrow lam by wide mu.
 
-    A column answers one lam against the mus of one width, and refuses what
-    its per-pair kernel refuses on the first of them.  Refusals read only
-    the widths, so asking the first column and then the second, width by
-    width, raises the refusal the pairs would raise first.  Only columns that
-    differ are walked, in pair order, for their counterexamples.  memo is
-    the chain oracle's for target lam: one dict per lam, across its width
-    blocks, dropped when lam changes.
+    A column answers one lam against the mus of one width, and its refusals
+    read only the widths, so asking the first column and then the second,
+    width by width, raises the refusal the pairs would raise first.  Only
+    columns that differ are walked, in pair order, for their
+    counterexamples.  memo is the chain oracle's for target lam: one dict per
+    lam, across its width blocks, dropped when lam changes.
     """
 
     def run(grid: dict, ceiling: int) -> VerifyReport:
@@ -243,7 +242,7 @@ def _suite_interlace(grid: dict, ceiling: int) -> VerifyReport:
             for wm in range(1, wl + 1):
                 for mu in classes[wm]:
                     fast = _interlaces(lam, mu)
-                    oracle = _chain_oracle(lam, mu, memos[mu])
+                    oracle = _oracle_column(mu, [lam], memos[mu])[0]
                     if fast != oracle:
                         bad.add({
                             "lam": list(lam), "mu": list(mu),
@@ -277,7 +276,7 @@ def _suite_lemmas(grid: dict, ceiling: int) -> VerifyReport:
                     continue
                 hits[condition] += 1
                 if dominated is None:
-                    dominated = _chain_oracle(mu, lam, memo)
+                    dominated = _oracle_column(lam, [mu], memo)[0]
                 if not dominated:
                     bad.add({
                         "condition": condition, "lam": list(lam), "mu": list(mu),
@@ -569,7 +568,8 @@ def _avoiding_column(lam: ShiftClass, mus: list[ShiftClass], memo: dict[ShiftCla
     return [not dominates for dominates in _oracle_column(lam, mus, memo)]
 
 
-# the suites call kernels, not the public predicates, so wrappers on those
+# the suites call the kernels that the public predicates ask for columns of
+# one, so they replay the code those run, while wrappers on the public names
 # see no suite pairs; the closed-form columns search nothing and take no memo
 _SUITES = {
     # the chain oracle asked whether each mu dominates lam

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import tracemalloc
 from functools import cache
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slinf
-from slinf import dominance, partitions
+from slinf import dominance, local_systems, partitions
+from slinf.cli import main
 from slinf.dominance import (
     MAX_CHAIN_DEPTH,
     dominates_interlace,
@@ -17,7 +19,13 @@ from slinf.dominance import (
     tight_gaps_hypotheses,
     wide_window_hypotheses,
 )
-from slinf.local_systems import _gap_union, _gap_union_column, avoiding_system_contains, gap_union_contains
+from slinf.local_systems import (
+    _gap_union_column,
+    avoiding_system_contains,
+    forbidden_to_coherent,
+    gap_union_contains,
+    gap_union_system,
+)
 from slinf.partitions import _iter_children, canonicalize, enumerate_classes, gt_children, shift
 from slinf.verify import _SUITES, _agreement_suite, _avoiding_column, load_grid_config, run_suite
 
@@ -39,6 +47,23 @@ def cold_oracle_table():
 def memo_entries(table):
     # the (target, intermediate) pairs a table of per-target memos holds
     return sum(map(len, table.values()))
+
+
+def slinf_modules():
+    # the package and every module in it that can be imported without running
+    return [slinf] + [
+        importlib.import_module(f"slinf.{info.name}")
+        for info in pkgutil.iter_modules(slinf.__path__)
+        if info.name != "__main__"
+    ]
+
+
+def patch_everywhere(monkeypatch, original, replacement):
+    # bind replacement at every slinf module that binds original
+    for module in slinf_modules():
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, replacement)
 
 
 def test_oracle_examples():
@@ -264,7 +289,7 @@ def test_oracle_decides_by_chain_search_alone(monkeypatch):
 
     closed_forms = (
         "dominates_interlace", "gap_criterion",
-        "_interlaces", "_gap_criterion", "_gap_column", "_equal_ends", "_tight_gaps", "_wide_window",
+        "_interlaces", "_gap_column", "_equal_ends", "_tight_gaps", "_wide_window",
     )
     for name in closed_forms:
         monkeypatch.setattr(dominance, name, forbidden)
@@ -291,8 +316,9 @@ def answers_or_refusal(call):
 
 def test_columns_equal_their_per_pair_kernels():
     # every lam against the mus of each width, narrower ones and refusals
-    # included; the columns and the per-pair kernels keep memos apart, one
-    # per target lam
+    # included: a whole column answers, and refuses, as its columns of one do
+    # in pair order, and as the public predicates do pair by pair; the whole
+    # columns and the columns of one keep memos apart, one per target lam
     classes = {w: enumerate_classes(w, 4) for w in range(1, 7)}
     column_memos, pair_memos = {}, {}
 
@@ -300,25 +326,113 @@ def test_columns_equal_their_per_pair_kernels():
         return column_memos.setdefault(lam, {}), pair_memos.setdefault(lam, {})
 
     columns = (
-        (lambda lam, mus: dominance._oracle_column(lam, mus, memos(lam)[0]),
-         lambda lam, mu: dominance._chain_oracle(mu, lam, memos(lam)[1])),
-        (lambda lam, mus: _avoiding_column(lam, mus, memos(lam)[0]),
-         lambda lam, mu: not dominance._chain_oracle(mu, lam, memos(lam)[1])),
-        (dominance._gap_column, lambda lam, mu: dominance._gap_criterion(mu, lam)),
-        (_gap_union_column, _gap_union),
+        (dominance._oracle_column, lambda lam, mu: dominates_oracle(mu, lam)),
+        (_avoiding_column, lambda lam, mu: not dominates_oracle(mu, lam)),
+        (lambda lam, mus, memo: dominance._gap_column(lam, mus), lambda lam, mu: gap_criterion(mu, lam)),
+        (lambda lam, mus, memo: _gap_union_column(lam, mus), gap_union_contains),
     )
+
+    def agree(column, predicate, lam, mus):
+        whole = answers_or_refusal(lambda: column(lam, mus, memos(lam)[0]))
+        ones = answers_or_refusal(lambda: [column(lam, [mu], memos(lam)[1])[0] for mu in mus])
+        public = answers_or_refusal(lambda: [predicate(lam, mu) for mu in mus])
+        assert whole == ones == public, (column, lam, len(mus))
+        return whole
+
+    cold_oracle_table()
     for lam in all_classes(6, 4):
         for mus in classes.values():
-            for column, kernel in columns:
-                expected = answers_or_refusal(lambda: [kernel(lam, mu) for mu in mus])
-                assert answers_or_refusal(lambda: column(lam, mus)) == expected, (column, lam, len(mus))
+            for column, predicate in columns:
+                agree(column, predicate, lam, mus)
     # the oracle's depth refusal, and a narrower top answered past it
     deep = enumerate_classes(MAX_CHAIN_DEPTH + 3, 1)
-    for column, kernel in columns[:2]:
-        expected = answers_or_refusal(lambda: [kernel((1, 0), mu) for mu in deep])
-        assert "MAX_CHAIN_DEPTH" in expected
-        assert answers_or_refusal(lambda: column((1, 0), deep)) == expected
-        assert column(deep[0], [(1, 0), (0, 0)]) == [kernel(deep[0], mu) for mu in ((1, 0), (0, 0))]
+    for column, predicate in columns[:2]:
+        assert "MAX_CHAIN_DEPTH" in agree(column, predicate, (1, 0), deep)
+        agree(column, predicate, deep[0], [(1, 0), (0, 0)])
+
+
+def test_routes_and_suites_share_one_kernel(monkeypatch, capsys):
+    # every per-pair route asks its criterion's column kernel for a column of
+    # one and answers what the kernel answers, and the suites call the same
+    # kernels on whole columns
+    calls = []
+    for kernel in (dominance._gap_column, dominance._oracle_column, _gap_union_column):
+
+        def recorder(*args, _kernel=kernel):
+            answers = _kernel(*args)
+            calls.append((_kernel.__name__, len(args[1]), answers))
+            return answers
+
+        patch_everywhere(monkeypatch, kernel, recorder)
+
+    def reached(kernel, route):
+        calls.clear()
+        answer = route()
+        ones = [answers[0] for name, size, answers in calls if name == kernel and size == 1]
+        assert ones, (kernel, route)
+        return answer, ones
+
+    def cli(*argv):
+        code = main(list(argv))
+        capsys.readouterr()
+        assert code in (0, 1), argv
+        return code == 0
+
+    cold_oracle_table()
+    routes = (
+        ("_gap_column", lambda: gap_criterion((1, 1, 1, 1, 0, 0, 0, 0), (1, 0))),
+        ("_gap_column", lambda: gap_criterion((2, 1, 0, 0, 0, 0, 0, 0), (2, 0))),
+        ("_gap_column", lambda: tight_gaps_hypotheses((1, 0), (1, 1, 0, 0))),
+        ("_gap_column", lambda: cli("dominates", "[1,1,1,1,0,0,0,0]", "[1,0]", "--method", "criterion4x")),
+        ("_gap_column", lambda: cli("dominates", "[2,1,0,0,0,0,0,0]", "[2,0]", "--method", "criterion4x")),
+        ("_gap_union_column", lambda: gap_union_contains((1, 0), (0, 0, 0, 0))),
+        ("_gap_union_column", lambda: gap_union_contains((1, 0), (1, 1, 0, 0))),
+        ("_gap_union_column", lambda: gap_union_system((2, 1, 0)).contains((2, 2, 1, 0, 0))),
+        ("_gap_union_column", lambda: gap_union_system((2, 1, 0)).contains((3, 2, 1, 1, 0))),
+        ("_gap_union_column", lambda: cli("qlambda", "[1,0]", "[0,0,0,0,0,0,0,0]")),
+        ("_gap_union_column", lambda: cli("qlambda", "[1,0]", "[1,1,1,1,0,0,0,0]")),
+        ("_oracle_column", lambda: dominates_oracle((2, 1, 0), (1, 0))),
+        ("_oracle_column", lambda: dominates_oracle((2, 2, 0), (2, 1))),
+        ("_oracle_column", lambda: cli("dominates", "[3,1,0]", "[2,0]", "--method", "oracle")),
+    )
+    answers = set()
+    for kernel, route in routes:
+        answer, ones = reached(kernel, route)
+        assert ones == [answer], (kernel, route)
+        answers.add(answer)
+    assert tight_gaps_hypotheses((1, 0), (1, 1, 0, 0)) and answers == {True, False}
+    # the intersection asks one column of one per forbidden partition it reads
+    for mu in ((1, 1, 0, 0, 0, 0, 0, 0), (2, 1, 1, 1, 0, 0, 0, 0), (1, 0)):
+        contains = forbidden_to_coherent([(1, 0), (2, 1, 0)]).contains
+        answer, ones = reached("_gap_union_column", lambda: contains(mu))
+        assert answer == all(ones), mu
+    # (lgts2 holds the oracle column itself, bound when _SUITES is built)
+    for suite, kernels in (
+        ("lgts2", {"_gap_column"}),
+        ("pmain", {"_gap_union_column", "_gap_column", "_oracle_column"}),
+        ("interlace", {"_oracle_column"}),
+        ("lemmas", {"_gap_column", "_oracle_column"}),
+    ):
+        calls.clear()
+        assert run_suite(suite).failed == 0
+        assert {name for name, size, answers in calls} == kernels, suite
+        if suite in ("lgts2", "pmain"):
+            assert max(size for name, size, answers in calls) > 1, suite
+
+
+def test_a_fault_in_the_gap_kernel_reaches_the_routes_and_the_suite(monkeypatch):
+    # the gap criterion's one loop with < made <=: the public predicate and
+    # the lgts2 suite both change
+    source = inspect.getsource(dominance._gap_column)
+    assert source.count("] < gap:") == 1
+    namespace = dict(vars(dominance))
+    exec(source.replace("] < gap:", "] <= gap:"), namespace)
+    mu, lam = (1, 1, 1, 1, 0, 0, 0, 0), (1, 0)
+    before = gap_criterion(mu, lam), run_suite("lgts2").failed
+    patch_everywhere(monkeypatch, dominance._gap_column, namespace["_gap_column"])
+    after = gap_criterion(mu, lam), run_suite("lgts2").failed
+    assert before == (True, 0)
+    assert after[0] is False and after[1] > 0
 
 
 def test_cold_suites_memoize_the_parents_pairs(monkeypatch):
@@ -395,11 +509,7 @@ def test_oracle_never_materializes_a_child_set(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a whole child set was built")
 
-    for module in [slinf] + [
-        importlib.import_module(f"slinf.{info.name}")
-        for info in pkgutil.iter_modules(slinf.__path__)
-        if info.name != "__main__"
-    ]:
+    for module in slinf_modules():
         if getattr(module, "gt_children", None) is gt_children:
             monkeypatch.setattr(module, "gt_children", forbidden)
     cold_oracle_table()
@@ -429,7 +539,7 @@ def test_first_child_probe_keeps_the_search_space():
     for lam in classes:
         for mu in classes:
             if len(lam) < len(mu) or lam[0] < mu[0]:
-                continue  # _chain_oracle answers these before any search
+                continue  # _oracle_column answers these before any search
             table = cold_oracle_table()
             reference = {}
             answer = dominates_oracle(lam, mu)
