@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slinf
-from slinf import dominance, local_systems, partitions
+from slinf import dominance, partitions
 from slinf.cli import main
 from slinf.dominance import (
     MAX_CHAIN_DEPTH,
