@@ -1,15 +1,16 @@
 """Width-indexed families of shift classes and their coherence checks.
 
 A local system assigns to every width n >= 2 a set of shift classes.  Here
-systems are membership predicates, never materialized sets (each level is
+systems are membership columns, never materialized sets (each level is
 infinite); truncation lives in the test window.  A system is *precoherent*
 when membership is closed downward under dominance, and *coherent* when in
 addition every member extends one width up to a dominating member.
 
-Membership is decided in closed form and validates each partition once per
-decision: the avoiding system by Gelfand-Tsetlin interlacing
-(``dominates_interlace``), the gap union by testing every index pair against
-one validated mu.
+Membership is decided in closed form, one column of canonical classes of one
+width at a time: the avoiding system by Gelfand-Tsetlin interlacing, the gap
+union by ``_gap_union_column``, which lists lam's index pairs once per column.
+A window check asks one column per level; ``LocalSystem.contains`` validates
+one user partition and asks a column of one.
 
 Dominance is the reflexive-transitive closure of one branching step, and a
 child never outgrows its parent's canonical spread, so every chain from a
@@ -19,9 +20,10 @@ window member stays in the window: the window checks look one step down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
-from .dominance import _gap_column, dominates_interlace
+from .dominance import _gap_column, _interlaces, dominates_interlace
 from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
 
 
@@ -45,14 +47,20 @@ class LevelWindow:
 
 @dataclass(frozen=True)
 class LocalSystem:
-    """Membership predicate on Z-partitions plus a human-readable descriptor.
+    """Membership column on shift classes plus a human-readable descriptor.
 
-    The predicate must be shift-invariant (all systems built here are, since
-    they only compare entry differences or canonical classes).
+    ``members(mus)`` answers, for a nonempty list of canonical classes of one
+    width, whether each belongs, in order.  It reads the classes unvalidated,
+    and must be shift-invariant (all systems built here are, since they only
+    compare entry differences or canonical classes).
     """
 
-    contains: Callable[[Sequence[int]], bool]
+    members: Callable[[list[ShiftClass]], list[bool]]
     description: str
+
+    def contains(self, mu: Sequence[int]) -> bool:
+        """Membership of one Z-partition: validated, then asked as a column of its class."""
+        return self.members([canonicalize(mu)])[0]
 
 
 def avoiding_system_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
@@ -71,7 +79,7 @@ def avoiding_system_contains(lam: Sequence[int], mu: Sequence[int]) -> bool:
 def avoiding_system(lam: Sequence[int]) -> LocalSystem:
     lam_c = canonicalize(lam)
     return LocalSystem(
-        contains=lambda mu: avoiding_system_contains(lam_c, mu),
+        members=lambda mus: [not _interlaces(mu, lam_c) for mu in mus],
         description=f"largest dominance-closed system avoiding {list(lam_c)}",
     )
 
@@ -121,7 +129,7 @@ def gap_union_system(lam: Sequence[int]) -> LocalSystem:
     if len(lam_c) < 2:
         raise ValueError("the gap union needs a partition of width >= 2")
     return LocalSystem(
-        contains=lambda mu: _gap_union_column(lam_c, [as_zpartition(mu)])[0],
+        members=lambda mus: _gap_union_column(lam_c, mus),
         description=f"union of gap systems of {list(lam_c)}",
     )
 
@@ -141,24 +149,25 @@ def forbidden_to_coherent(lams: Iterable[Sequence[int]]) -> LocalSystem:
     if any(len(lam) < 2 for lam in canon):
         raise ValueError("every forbidden partition must have width >= 2")
 
-    def contains(mu: Sequence[int]) -> bool:
-        column = [as_zpartition(mu)]
-        return all(_gap_union_column(lam, column)[0] for lam in canon)
+    def members(mus: list[ShiftClass]) -> list[bool]:
+        return [all(row) for row in zip(*(_gap_union_column(lam, mus) for lam in canon))]
 
     return LocalSystem(
-        contains=contains,
+        members=members,
         description=f"coherent intersection forbidding {[list(c) for c in canon]}",
     )
 
 
 def _closed_on_window(system: LocalSystem, window: LevelWindow, slack: int | None) -> bool:
-    # One membership test per class and width.  With a slack, the widths above
-    # n_min double as witness levels, with entries up to entry_bound + slack.
+    # One membership column per width.  enumerate_classes yields canonical
+    # classes, so the column reads them unvalidated, as the children below are
+    # read.  With a slack, the widths above n_min double as witness levels,
+    # with entries up to entry_bound + slack.
     bound = window.entry_bound
-    levels = {
-        w: set(filter(system.contains, enumerate_classes(w, bound + (slack or 0) if w > window.n_min else bound)))
-        for w in window.widths()
-    }
+    levels = {}
+    for w in window.widths():
+        classes = enumerate_classes(w, bound + (slack or 0) if w > window.n_min else bound)
+        levels[w] = set(compress(classes, system.members(classes)))
     for w in range(window.n_min + 1, window.n_max + 1):
         # through a set, so each frozenset gets a tight table
         children = {lam: frozenset(set(_iter_children(lam))) for lam in levels[w]}

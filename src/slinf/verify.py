@@ -238,11 +238,14 @@ def _suite_interlace(grid: dict, ceiling: int) -> VerifyReport:
     memos: dict[ShiftClass, dict[ShiftClass, bool]] = {mu: {} for mus in classes.values() for mu in mus}
     bad = _Collector()
     for wl in range(1, max_width + 1):
-        for lam in classes[wl]:
+        # one oracle column per mu over every lam of width wl: each memo sees
+        # its searches in the order the pairs are walked below
+        columns = {mu: _oracle_column(mu, classes[wl], memos[mu]) for wm in range(1, wl + 1) for mu in classes[wm]}
+        for i, lam in enumerate(classes[wl]):
             for wm in range(1, wl + 1):
                 for mu in classes[wm]:
                     fast = _interlaces(lam, mu)
-                    oracle = _oracle_column(mu, [lam], memos[mu])[0]
+                    oracle = columns[mu][i]
                     if fast != oracle:
                         bad.add({
                             "lam": list(lam), "mu": list(mu),

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from slinf import ideals, verify
 from slinf.cli import main
 from slinf.ideals import Ideal, containing_ideals, enumerate_ideals, highest_weight, make_weight
+from slinf.partitions import enumerate_classes
 from slinf.verify import load_grid_config, suite_names
 from test_ideals import LATTICE_UPSETS
 
@@ -212,6 +213,38 @@ def test_lattice_hasse_outputs_are_unchanged(capsys):
         assert (code, err) == (0, ""), argv
         digest.update(out.encode())
     assert digest.hexdigest() == (GOLDEN / "lattice-hasse.sha256").read_text(encoding="utf-8").strip()
+
+
+def window_commands():
+    """plscheck/clscheck x qvee/qlambda x every lam of widths 2-3 at bound 3 x three windows x two bounds,
+    then two forbidden systems and a refused one: 339 commands."""
+    argvs = []
+    for check in ("plscheck", "clscheck"):
+        for system in ("qvee", "qlambda"):
+            for lam in enumerate_classes(2, 3) + enumerate_classes(3, 3):
+                for widths in ("2..5", "3..6", "8..9"):
+                    for bound in (2, 4):
+                        argv = [check, json.dumps(list(lam), separators=(",", ":")), "--system", system,
+                                "--widths", widths, "--bound", str(bound)]
+                        argvs.append(argv + ["--slack", "1"] if check == "clscheck" else argv)
+    return argvs + [
+        ["plscheck", "[1,0]", "[2,1,0]", "--system", "forbidden", "--widths", "8..10", "--bound", "3"],
+        ["clscheck", "[2,0]", "[3,1,0]", "--system", "forbidden", "--widths", "8..10", "--bound", "3", "--slack", "1"],
+        ["plscheck", "[1,0]", "[2,0]", "--system", "qvee", "--widths", "2..4", "--bound", "2"],
+    ]
+
+
+def test_window_answers_are_unchanged(capsys):
+    # one sha256 over each window command's argv, exit code, stdout and stderr
+    digest = hashlib.sha256()
+    codes = []
+    for argv in window_commands():
+        code, out, err = run(capsys, *argv)
+        codes.append(code)
+        digest.update((json.dumps([argv, code, out, err]) + "\n").encode())
+    # both answers and the refusal occur, so the digest pins more than one outcome
+    assert [codes.count(code) for code in (0, 1, 2)] == [304, 34, 1]
+    assert digest.hexdigest() == (GOLDEN / "window-answers.sha256").read_text(encoding="utf-8").strip()
 
 
 def test_ideal_weight_prints_the_weight_json_byte_for_byte(capsys):

@@ -77,13 +77,13 @@ def test_precoherent_window_examples():
     assert is_precoherent_on_window(avoiding_system((1, 0)), window) is True
 
     only_at_two = LocalSystem(
-        contains=lambda mu: len(mu) == 2 and canonicalize(mu) == (1, 0) or len(mu) < 2,
+        members=lambda mus: [len(mu) == 2 and canonicalize(mu) == (1, 0) or len(mu) < 2 for mu in mus],
         description="only the class (1,0) at width 2",
     )
     assert is_precoherent_on_window(only_at_two, LevelWindow(2, 3, 2)) is True
 
     broken = LocalSystem(
-        contains=lambda mu: len(mu) == 3 and canonicalize(mu) == (1, 0, 0),
+        members=lambda mus: [len(mu) == 3 and canonicalize(mu) == (1, 0, 0) for mu in mus],
         description="(1,0,0) without its restriction (1,0)",
     )
     assert is_precoherent_on_window(broken, LevelWindow(2, 3, 2)) is False
@@ -96,7 +96,7 @@ def test_coherent_window_examples():
     # width-3 class dominating (2,0) has spread >= 2 and therefore also
     # dominates (1,0), so (2,0) has no admissible extension at any slack
     assert is_coherent_on_window(avoiding_system((1, 0)), LevelWindow(2, 3, 2), 2) is False
-    empty = LocalSystem(contains=lambda mu: False, description="empty")
+    empty = LocalSystem(members=lambda mus: [False for mu in mus], description="empty")
     assert is_coherent_on_window(empty, LevelWindow(2, 4, 2), 0) is True
 
 
@@ -200,7 +200,7 @@ def arbitrary_system(seed):
         c = canonicalize(mu)
         return (c[0] <= thresholds[len(c)]) != (random.Random(hash((seed, c))).random() < flip)
 
-    return LocalSystem(contains=contains, description=f"arbitrary system {seed}")
+    return LocalSystem(members=lambda mus: [contains(mu) for mu in mus], description=f"arbitrary system {seed}")
 
 
 small_lams = st.sampled_from(enumerate_classes(2, 3) + enumerate_classes(3, 2))
@@ -210,6 +210,61 @@ systems = st.one_of(
     st.lists(small_lams, min_size=1, max_size=2).map(forbidden_to_coherent),
     st.integers(0, 2**32).map(arbitrary_system),
 )
+
+
+def built_in_systems():
+    """(system, public predicate) for every built-in system over the lams of widths 2-3 at bound 3:
+    each avoiding system, each gap union, and forbidden systems of one and of two lams."""
+    lams = enumerate_classes(2, 3) + enumerate_classes(3, 3)
+    cases = []
+    for lam in lams:
+        cases.append((avoiding_system(lam), lambda mu, lam=lam: avoiding_system_contains(lam, mu)))
+        cases.append((gap_union_system(lam), lambda mu, lam=lam: gap_union_contains(lam, mu)))
+    for forbidden in [[lam] for lam in lams] + [[a, b] for a, b in zip(lams, lams[1:])] + [[lams[0], lams[-1]]]:
+        cases.append((
+            forbidden_to_coherent(forbidden),
+            lambda mu, forbidden=forbidden: all(gap_union_contains(lam, mu) for lam in forbidden),
+        ))
+    return cases
+
+
+def test_members_column_matches_contains_and_the_public_predicates():
+    levels = [enumerate_classes(w, 4) for w in range(2, 10)]
+    answers = set()
+    for system, predicate in built_in_systems():
+        for classes in levels:
+            column = system.members(classes)
+            assert column == [system.contains(c) for c in classes], system.description
+            assert column == [predicate(c) for c in classes], system.description
+            # contains reads a shifted representative as its class
+            assert column == [system.contains(tuple(v + 3 for v in c)) for c in classes], system.description
+            answers.update(column)
+    assert answers == {True, False}
+
+
+def test_window_checks_ask_one_column_per_level(monkeypatch):
+    def refuse(self, mu):
+        raise AssertionError("a window check asked contains")
+
+    monkeypatch.setattr(LocalSystem, "contains", refuse)
+    windows = ((LevelWindow(2, 5, 3), None), (LevelWindow(3, 6, 2), 1), (LevelWindow(8, 9, 2), 0))
+    for system, _ in built_in_systems():
+        for window, slack in windows:
+            widths = []
+
+            def members(mus, _members=system.members):
+                assert mus and len({len(mu) for mu in mus}) == 1
+                widths.append(len(mus[0]))
+                return _members(mus)
+
+            counted = LocalSystem(members=members, description=system.description)
+            if slack is None:
+                verdict = is_precoherent_on_window(counted, window)
+                assert verdict == is_precoherent_on_window(system, window)
+            else:
+                verdict = is_coherent_on_window(counted, window, slack)
+                assert verdict == is_coherent_on_window(system, window, slack)
+            assert widths == list(window.widths()), (system.description, window)
 
 
 def test_window_checks_match_all_pairs_reference():
