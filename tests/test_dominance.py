@@ -401,7 +401,7 @@ def test_routes_and_suites_share_one_kernel(monkeypatch, capsys):
         assert ones == [answer], (kernel, route)
         answers.add(answer)
     assert tight_gaps_hypotheses((1, 0), (1, 1, 0, 0)) and answers == {True, False}
-    # the intersection asks one column of one per forbidden partition it reads
+    # the intersection asks one column of one per forbidden partition
     for mu in ((1, 1, 0, 0, 0, 0, 0, 0), (2, 1, 1, 1, 0, 0, 0, 0), (1, 0)):
         contains = forbidden_to_coherent([(1, 0), (2, 1, 0)]).contains
         answer, ones = reached("_gap_union_column", lambda: contains(mu))

@@ -2,18 +2,17 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/cold.py [--src DIR] [--runs N] [--cpu C] -- ARGV...
+    python3 tools/cold.py [--src DIR] [--runs N] -- ARGV...
 
 For example:
 
     python3 tools/cold.py --runs 7 -- plscheck [3,1,0] --system qlambda --widths 3..8 --bound 5
 
 Each run starts a new ``python3`` with DIR (default ``src``) first on its
-``PYTHONPATH``, pinned to CPU C (default: the last CPU this process may run
-on) with ``os.sched_setaffinity`` before the interpreter starts.  The child
-imports ``slinf.cli`` and times ``main(ARGV)`` alone with
-``time.process_time``, so interpreter start and imports are not counted.  The
-script prints:
+``PYTHONPATH``, pinned with ``os.sched_setaffinity`` to the last CPU this
+process may run on, before the interpreter starts.  The child imports
+``slinf.cli`` and times ``main(ARGV)`` alone with ``time.process_time``, so
+interpreter start and imports are not counted.  The script prints:
 
 - the min and median CPU s of ``cli.main``;
 - the min and median CPU s of the whole child (user + system, from
@@ -76,7 +75,6 @@ def main(args: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=Path("src"), help="directory holding the slinf package")
     parser.add_argument("--runs", type=int, default=7, help="fresh interpreters to start, one after another")
-    parser.add_argument("--cpu", type=int, default=max(os.sched_getaffinity(0)), help="CPU to pin each run to")
     parser.add_argument("argv", nargs=argparse.REMAINDER, help="the slinf command, after --")
     options = parser.parse_args(args)
     argv = options.argv[1:] if options.argv[:1] == ["--"] else options.argv
@@ -84,11 +82,12 @@ def main(args: list[str]) -> int:
         parser.error("give --runs >= 1 and a slinf command after --")
     if not (options.src / "slinf" / "cli.py").is_file():
         parser.error(f"no slinf package under {options.src}")
-    runs = [run_once(options.src.resolve(), argv, options.cpu) for _ in range(options.runs)]
+    cpu = max(os.sched_getaffinity(0))
+    runs = [run_once(options.src.resolve(), argv, cpu) for _ in range(options.runs)]
     main_s, child_s, rss, codes, outs = zip(*runs)
     digests = sorted({hashlib.sha256(out).hexdigest() for out in outs})
     print(f"command: slinf {' '.join(argv)}")
-    print(f"src: {options.src}  runs: {options.runs}  cpu: {options.cpu}")
+    print(f"src: {options.src}  runs: {options.runs}  cpu: {cpu}")
     print(f"cli.main CPU s: min {min(main_s):.5f}  median {statistics.median(main_s):.5f}")
     print(f"child CPU s: min {min(child_s):.5f}  median {statistics.median(child_s):.5f}")
     print(f"peak RSS MB: max {max(rss):.1f}")
