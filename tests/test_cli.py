@@ -492,6 +492,30 @@ def test_decision_command_help_is_unchanged(capsys, monkeypatch, command):
     assert out == (GOLDEN_HELP / f"{'-'.join(command)}.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [[], ["dominates"], ["cls"], ["ideal"], ["ideal", "cls"], ["ideal", "weight"], ["ideal", "upset"],
+     ["ideal", "hasse"], ["verify"]],
+)
+def test_help_is_unchanged(capsys, monkeypatch, command):
+    # with test_decision_command_help_is_unchanged, every parser of the tree
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *command, "--help")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_HELP / f"{'-'.join(command) or 'slinf'}.txt").read_text(encoding="utf-8")
+
+
+def test_usage_answers_are_unchanged(capsys, monkeypatch):
+    # usage errors and help requests in odd places, exit code, stdout and stderr byte for byte:
+    # empty, unknown, abbreviated and misplaced commands, "-h" and "--" before a command,
+    # bad and extra arguments at every level
+    monkeypatch.setenv("COLUMNS", "80")
+    corpus = json.loads((GOLDEN / "usage-errors.json").read_text(encoding="utf-8"))
+    assert len(corpus) == 38
+    for case in corpus:
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_ideal_cls_and_weight_refuse_long_answers_before_building(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the answer was built")
