@@ -103,11 +103,6 @@ def _finish_bool(value: bool) -> int:
     return 0 if value else 1
 
 
-def _decision(parse, decide):
-    """The handler of a command deciding decide(parse(first), parse(second)) on its two positional arguments."""
-    return lambda args: _finish_bool(decide(parse(args.first), parse(args.second)))
-
-
 def _build_system(name: str, partitions):
     if name == "forbidden":
         return forbidden_to_coherent(partitions)
@@ -252,88 +247,137 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="slinf",
-        description="Decision procedures for partition dominance, coherent local "
-        "systems, and the primitive-ideal inclusion order.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _decision(parse, decide, first: str, second: str, first_help: str | None = None):
+    """Arguments of a command deciding decide(parse(first), parse(second)) on its two positionals."""
 
-    p = sub.add_parser("dominates", help="does the first partition dominate the second?")
+    def configure(p, _):
+        p.add_argument("first", metavar=first, help=first_help)
+        p.add_argument("second", metavar=second)
+        p.set_defaults(func=lambda args: _finish_bool(decide(parse(args.first), parse(args.second))))
+
+    return configure
+
+
+def _dominates_arguments(p, _):
     p.add_argument("lam", help="JSON array, e.g. [2,1,0]")
     p.add_argument("mu", help="JSON array, e.g. [1,0]")
     p.add_argument("--method", choices=["oracle", "interlace", "criterion4x"], default="interlace")
     p.set_defaults(func=_cmd_dominates)
 
-    for name, decide, extra_help in (
-        ("qvee", avoiding_system_contains, "membership of mu in the largest system avoiding lam"),
-        ("qlambda", gap_union_contains, "membership of mu in the gap-union system of lam"),
-    ):
-        p = sub.add_parser(name, help=extra_help)
-        p.add_argument("first", metavar="lam")
-        p.add_argument("second", metavar="mu")
-        p.set_defaults(func=_decision(_parse_partition, decide))
 
-    for name, extra_help in (
-        ("plscheck", "is the system dominance-closed on the window?"),
-        ("clscheck", "is the system coherent on the window?"),
-    ):
-        p = sub.add_parser(name, help=extra_help)
+def _window_arguments(slack: bool):
+    """Arguments of plscheck, or with a slack of clscheck."""
+
+    def configure(p, _):
         p.add_argument("partitions", nargs="+", help="JSON arrays defining the system")
         p.add_argument("--system", choices=["qvee", "qlambda", "forbidden"], default="qvee")
         p.add_argument("--widths", required=True, type=_parse_widths, metavar="A..B")
         p.add_argument("--bound", required=True, type=int, metavar="B")
-        if name == "clscheck":
+        if slack:
             p.add_argument("--slack", type=int, default=0, metavar="S")
         p.set_defaults(func=_cmd_window_check)
 
-    p = sub.add_parser("cls", help="sequence-code operations")
-    cls_sub = p.add_subparsers(dest="cls_command", required=True)
-    q = cls_sub.add_parser("include", help="is the first code included in the second?")
-    q.add_argument("first", metavar="inner", help='JSON like {"p":{"inf":0,"head":[],"tail":0},"q":{...}}')
-    q.add_argument("second", metavar="outer")
-    q.set_defaults(func=_decision(_parse_code, code_included))
+    return configure
 
-    p = sub.add_parser("ideal", help="primitive-ideal operations")
-    ideal_sub = p.add_subparsers(dest="ideal_command", required=True)
 
-    q = ideal_sub.add_parser("include", help="is the first ideal contained in the second?")
-    q.add_argument("first", metavar="inner", help='JSON like {"x":0,"y":1,"yl":[],"yr":[]} or {"zero":true}')
-    q.add_argument("second", metavar="outer")
-    q.set_defaults(func=_decision(_parse_ideal, is_contained))
+def _one_ideal(handler):
+    """Arguments of a command printing handler's answer on one ideal."""
 
-    q = ideal_sub.add_parser("cls", help="the ideal's sequence codes")
-    q.add_argument("ideal")
-    q.set_defaults(func=_cmd_ideal_cls)
+    def configure(p, _):
+        p.add_argument("ideal")
+        p.set_defaults(func=handler)
 
-    q = ideal_sub.add_parser("weight", help="the ideal's highest-weight datum")
-    q.add_argument("ideal")
-    q.set_defaults(func=_cmd_ideal_weight)
+    return configure
 
-    q = ideal_sub.add_parser("upset", help="containing ideals within search bounds")
-    q.add_argument("ideal")
-    q.add_argument("--cap", required=True, type=int, metavar="K", help="diagram width cap")
-    q.set_defaults(func=_cmd_ideal_upset)
 
-    q = ideal_sub.add_parser("hasse", help="Hasse diagram of a bounded family")
-    q.add_argument("--max-x", type=int, default=0)
-    q.add_argument("--max-y", type=int, default=0)
-    q.add_argument("--max-cols", type=int, default=0)
-    q.add_argument("--max-len", type=int, default=0)
-    q.add_argument("--format", choices=["dot", "json"], default="dot")
-    q.set_defaults(func=_cmd_ideal_hasse)
+def _upset_arguments(p, _):
+    p.add_argument("ideal")
+    p.add_argument("--cap", required=True, type=int, metavar="K", help="diagram width cap")
+    p.set_defaults(func=_cmd_ideal_upset)
 
-    p = sub.add_parser("verify", help="run one verification suite")
+
+def _hasse_arguments(p, _):
+    p.add_argument("--max-x", type=int, default=0)
+    p.add_argument("--max-y", type=int, default=0)
+    p.add_argument("--max-cols", type=int, default=0)
+    p.add_argument("--max-len", type=int, default=0)
+    p.add_argument("--format", choices=["dot", "json"], default="dot")
+    p.set_defaults(func=_cmd_ideal_hasse)
+
+
+def _verify_arguments(p, _):
     p.add_argument("suite", help=f"one of: {', '.join(verify.suite_names())}")
     p.add_argument("--grid-file", metavar="PATH", help="JSON grid configuration override")
     p.set_defaults(func=_cmd_verify)
 
+
+def _add_commands(parser: argparse.ArgumentParser, dest: str, commands, argv: list[str]) -> None:
+    """Add the subcommands of parser: the one argv[0] names exactly, else all of them.
+
+    Each command is (name, help, configure), and configure(subparser, argv[1:])
+    adds its arguments.  The subcommand argv[0] names parses all of the rest
+    of argv, so its siblings cannot take part; any other argv (empty, an
+    option, "--", an unknown or abbreviated name) gets every subcommand, so
+    help listings and invalid-choice errors name them all.
+    """
+    sub = parser.add_subparsers(dest=dest, required=True)
+    named = [command for command in commands if argv[:1] == [command[0]]]
+    for name, text, configure in named or commands:
+        configure(sub.add_parser(name, help=text), argv[1:])
+
+
+def _subcommands(dest: str, commands):
+    """Arguments of a command that only holds subcommands."""
+    return lambda p, argv: _add_commands(p, dest, commands, argv)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The slinf parser, with only the branch of the command tree that argv names; every parser without argv.
+
+    A parser costs a few gettext look-ups, so a cold command that builds only
+    its own branch (two parsers for plscheck, three for ideal upset instead
+    of fifteen) starts sooner, and parses and answers as the full tree would.
+    """
+    # (name, help, configure) for each subcommand, made at each call so that
+    # they pick up the handlers' current bindings
+    code_help = 'JSON like {"p":{"inf":0,"head":[],"tail":0},"q":{...}}'
+    cls_commands = (
+        ("include", "is the first code included in the second?",
+         _decision(_parse_code, code_included, "inner", "outer", code_help)),
+    )
+    ideal_help = 'JSON like {"x":0,"y":1,"yl":[],"yr":[]} or {"zero":true}'
+    ideal_commands = (
+        ("include", "is the first ideal contained in the second?",
+         _decision(_parse_ideal, is_contained, "inner", "outer", ideal_help)),
+        ("cls", "the ideal's sequence codes", _one_ideal(_cmd_ideal_cls)),
+        ("weight", "the ideal's highest-weight datum", _one_ideal(_cmd_ideal_weight)),
+        ("upset", "containing ideals within search bounds", _upset_arguments),
+        ("hasse", "Hasse diagram of a bounded family", _hasse_arguments),
+    )
+    commands = (
+        ("dominates", "does the first partition dominate the second?", _dominates_arguments),
+        ("qvee", "membership of mu in the largest system avoiding lam",
+         _decision(_parse_partition, avoiding_system_contains, "lam", "mu")),
+        ("qlambda", "membership of mu in the gap-union system of lam",
+         _decision(_parse_partition, gap_union_contains, "lam", "mu")),
+        ("plscheck", "is the system dominance-closed on the window?", _window_arguments(slack=False)),
+        ("clscheck", "is the system coherent on the window?", _window_arguments(slack=True)),
+        ("cls", "sequence-code operations", _subcommands("cls_command", cls_commands)),
+        ("ideal", "primitive-ideal operations", _subcommands("ideal_command", ideal_commands)),
+        ("verify", "run one verification suite", _verify_arguments),
+    )
+    parser = _Parser(
+        prog="slinf",
+        description="Decision procedures for partition dominance, coherent local "
+        "systems, and the primitive-ideal inclusion order.",
+    )
+    _add_commands(parser, "command", commands, list(argv))
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help

@@ -498,8 +498,9 @@ def upset_size(ideal: Ideal, width_cap: int, cap: int) -> int:
     """How much work containing_ideals does: exact up to cap, some number past cap beyond it.
 
     Per y', it decides (x + 1)·#left·#right candidates, and decides the rows
-    with up to sum_x' (x - x' + 1)·#left = C(x + 2, 2)·#left left deficits:
-    row (x', y', L) tries the splits x'..x.  The (y + 1)(x + 1)·#right term
+    with up to sum_x' (x - x' + 1)·#left = C(x + 2, 2)·#left split tries:
+    row (x', y', L) tries the splits x'..x, each reading a left deficit from
+    a table of (x + 1)·#left made once.  The (y + 1)(x + 1)·#right term
     counts the table: (y + 1)(x + 1) masks over the right diagrams.  So the
     work grows as x**2 even when the candidates grow only as x.
     """
@@ -545,6 +546,8 @@ def _upset_rows(
     for k = 0..y as bitmasks over the right diagrams, serves every
     candidate, and each (x', y', L) ORs within[c0][d - e_L] over the splits
     with e_L <= d: bit j of its mask is the candidate with R = right[j].
+    The left deficits see neither x' nor y' apart from the shove c0 - x', so
+    they too are computed once, per left diagram and shove.
     The rows come x' by x', y' by y', left diagram by left diagram, and the
     diagrams are enumerated sorted, so reading each mask bit by bit gives
     the canonical order.  The refusals and the table come at the call; the
@@ -564,15 +567,16 @@ def _upset_rows(
     full = (1 << len(right)) - 1
 
     def rows() -> Iterator[tuple[int, int, YoungDiagram, int]]:
+        # deficits[i][s] = e_L(left[i], s) for each shove s = c0 - x'
+        deficits = [[-_column_slack(ideal.yl, yl, s, True) for s in range(ideal.x + 1)] for yl in left]
         for x in range(ideal.x + 1):
             for y in range(ideal.y + 1):
                 d = ideal.y - y
-                for yl in left:
+                for yl, shoves in zip(left, deficits):
                     row = 0
-                    for c0 in range(x, ideal.x + 1):
-                        e = -_column_slack(ideal.yl, yl, c0 - x, True)
+                    for e, masks in zip(shoves, within[x:]):  # the splits c0 = x..ideal.x
                         if e <= d:
-                            row |= within[c0][d - e]
+                            row |= masks[d - e]
                             if row == full:
                                 break
                     if row:

@@ -162,21 +162,28 @@ def _closed_on_window(system: LocalSystem, window: LevelWindow, slack: int | Non
     # One membership column per width.  enumerate_classes yields canonical
     # classes, so the column reads them unvalidated, as the children below are
     # read.  With a slack, the widths above n_min double as witness levels,
-    # with entries up to entry_bound + slack.
+    # with entries up to entry_bound + slack.  Precoherence reads a member's
+    # children as they are generated and stops at the first one outside the
+    # level below; coherence also needs the children every member reaches, so
+    # it collects them, one set per member.
     bound = window.entry_bound
     levels = {}
     for w in window.widths():
         classes = enumerate_classes(w, bound + (slack or 0) if w > window.n_min else bound)
         levels[w] = set(compress(classes, system.members(classes)))
     for w in range(window.n_min + 1, window.n_max + 1):
-        # through a set, so each frozenset gets a tight table
-        children = {lam: frozenset(set(_iter_children(lam))) for lam in levels[w]}
-        if any(lam[0] <= bound and not kids <= levels[w - 1] for lam, kids in children.items()):
-            return False
-        if slack is None:
+        below = levels[w - 1]
+        if slack is None:  # every member is within the bound
+            if not all(below.issuperset(_iter_children(lam)) for lam in levels[w]):
+                return False
             continue
-        reached = set().union(*children.values())
-        if any(mu[0] <= bound and mu not in reached for mu in levels[w - 1]):
+        reached = set()
+        for lam in levels[w]:
+            kids = set(_iter_children(lam))
+            if lam[0] <= bound and not kids <= below:
+                return False
+            reached |= kids
+        if any(mu[0] <= bound and mu not in reached for mu in below):
             return False
     return True
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slinf import ideals, verify
+from slinf import cli, ideals, verify
 from slinf.cli import main
 from slinf.ideals import Ideal, containing_ideals, enumerate_ideals, highest_weight, make_weight
 from slinf.partitions import enumerate_classes
@@ -549,6 +549,31 @@ def test_usage_errors_exit_2(capsys):
     assert (code, err) == (0, "") and out.startswith("usage: slinf")
     code, out, err = run(capsys, "ideal", "hasse", "--help")
     assert (code, err) == (0, "") and out.startswith("usage: slinf ideal hasse")
+
+
+def test_a_command_builds_only_its_own_parsers(capsys, monkeypatch):
+    # a command named in full builds its branch of the tree; any other argv, help listings and
+    # invalid choices included, builds all fifteen parsers
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser()
+    assert len(built) == 15
+    for argv, parsers in (
+        (["plscheck", "[2,1,0]", "--widths", "3..4", "--bound", "2"], ["slinf", "slinf plscheck"]),
+        (["ideal", "upset", '{"x":1,"y":1}', "--cap", "1"], ["slinf", "slinf ideal", "slinf ideal upset"]),
+        (["cls", "include", "{}", "{}"], ["slinf", "slinf cls", "slinf cls include"]),
+        (["ideal", "bogus"], 7),
+        (["--help"], 15), ([], 15), (["-h", "plscheck"], 15), (["--", "plscheck"], 15), (["plsch"], 15),
+    ):
+        built.clear()
+        run(capsys, *argv)
+        assert (built if isinstance(parsers, list) else len(built)) == parsers, argv
 
 
 def test_wide_inputs_refuse_cleanly(capsys):

@@ -265,6 +265,24 @@ def test_containing_ideals_rejects_a_negative_cap():
         _upset_rows(Ideal(1, 1), -1)
 
 
+def test_upset_rows_compute_each_deficit_once(monkeypatch):
+    # one right deficit per (split, right diagram) and one left deficit per (shove, left diagram),
+    # however many y' and x' read them
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _column_slack(*args)
+
+    monkeypatch.setattr("slinf.ideals._column_slack", counted)
+    ideal = Ideal.from_json({"x": 3, "y": 3, "yl": [3, 2], "yr": [3, 1]})
+    right, rows = _upset_rows(ideal, 4)
+    assert sum(bin(mask).count("1") for *_, mask in rows) == 190_442
+    left = enumerate_diagrams(4, 3 + 3)
+    assert len(left) == len(right) == 210
+    assert len(calls) <= (ideal.x + 1) * (len(left) + len(right))
+
+
 def test_enumerate_diagrams():
     assert enumerate_diagrams(2, 2) == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
     assert enumerate_diagrams(0, 5) == [()]

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from slinf import local_systems
 from slinf.dominance import (
     MAX_CHAIN_DEPTH,
     dominates_interlace,
@@ -263,6 +264,26 @@ def test_window_checks_ask_one_column_per_level(monkeypatch):
             else:
                 is_coherent_on_window(counted, window, slack)
             assert widths == list(window.widths()), (system.description, window)
+
+
+def test_window_checks_stop_at_the_first_member_outside(monkeypatch):
+    # no class of width 2 belongs and every class of width 3 does, so the first member read fails
+    calls = []
+    real = local_systems._iter_children
+
+    def counted(lam, *args):
+        calls.append(lam)
+        return real(lam, *args)
+
+    monkeypatch.setattr(local_systems, "_iter_children", counted)
+    system = LocalSystem(members=lambda mus: [len(mu) > 2 for mu in mus], description="widths >= 3")
+    window = LevelWindow(2, 3, 6)
+    assert len(enumerate_classes(3, 6)) == 28
+    assert not is_precoherent_on_window(system, window)
+    assert len(calls) == 1
+    calls.clear()
+    assert not is_coherent_on_window(system, window, 0)
+    assert len(calls) == 1
 
 
 def test_window_checks_match_all_pairs_reference():

@@ -2,17 +2,20 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/cold.py [--src DIR] [--runs N] -- ARGV...
+    python3 tools/cold.py [--src DIR]... [--runs N] -- ARGV...
 
-For example:
+For example, to compare a parent checkout with this one:
 
-    python3 tools/cold.py --runs 7 -- plscheck [3,1,0] --system qlambda --widths 3..8 --bound 5
+    python3 tools/cold.py --src ../parent/src --src src --runs 7 -- \
+        plscheck [3,1,0] --system qlambda --widths 3..8 --bound 5
 
 Each run starts a new ``python3`` with DIR (default ``src``) first on its
 ``PYTHONPATH``, pinned with ``os.sched_setaffinity`` to the last CPU this
 process may run on, before the interpreter starts.  The child imports
 ``slinf.cli`` and times ``main(ARGV)`` alone with ``time.process_time``, so
-interpreter start and imports are not counted.  The script prints:
+interpreter start and imports are not counted.  With several ``--src``, the
+runs go round by round, one run per DIR in the order given, so a drift of
+the machine's speed reaches every DIR alike.  For each DIR the script prints:
 
 - the min and median CPU s of ``cli.main``;
 - the min and median CPU s of the whole child (user + system, from
@@ -21,8 +24,8 @@ interpreter start and imports are not counted.  The script prints:
   the runs;
 - the exit codes seen and the sha256 of stdout.
 
-It exits 1 if the runs disagree on stdout or on the exit code, else 0.  Run it
-once against the parent's ``src`` and once against the change's to compare.
+It exits 1 if any runs disagree on stdout or on the exit code, within one DIR
+or across them, else 0.
 """
 
 from __future__ import annotations
@@ -73,27 +76,35 @@ def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float,
 
 def main(args: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, default=Path("src"), help="directory holding the slinf package")
-    parser.add_argument("--runs", type=int, default=7, help="fresh interpreters to start, one after another")
+    parser.add_argument(
+        "--src", type=Path, action="append", help="directory holding the slinf package (default src); repeat to compare"
+    )
+    parser.add_argument("--runs", type=int, default=7, help="rounds: fresh interpreters to start per directory")
     parser.add_argument("argv", nargs=argparse.REMAINDER, help="the slinf command, after --")
     options = parser.parse_args(args)
     argv = options.argv[1:] if options.argv[:1] == ["--"] else options.argv
+    sources = options.src or [Path("src")]
     if not argv or options.runs < 1:
         parser.error("give --runs >= 1 and a slinf command after --")
-    if not (options.src / "slinf" / "cli.py").is_file():
-        parser.error(f"no slinf package under {options.src}")
+    for src in sources:
+        if not (src / "slinf" / "cli.py").is_file():
+            parser.error(f"no slinf package under {src}")
     cpu = max(os.sched_getaffinity(0))
-    runs = [run_once(options.src.resolve(), argv, cpu) for _ in range(options.runs)]
-    main_s, child_s, rss, codes, outs = zip(*runs)
-    digests = sorted({hashlib.sha256(out).hexdigest() for out in outs})
+    rounds = [[run_once(src.resolve(), argv, cpu) for src in sources] for _ in range(options.runs)]
     print(f"command: slinf {' '.join(argv)}")
-    print(f"src: {options.src}  runs: {options.runs}  cpu: {cpu}")
-    print(f"cli.main CPU s: min {min(main_s):.5f}  median {statistics.median(main_s):.5f}")
-    print(f"child CPU s: min {min(child_s):.5f}  median {statistics.median(child_s):.5f}")
-    print(f"peak RSS MB: max {max(rss):.1f}")
-    print(f"exit codes: {sorted(set(codes))}")
-    print(f"stdout sha256: {' '.join(digests)}")
-    return 0 if len(digests) == 1 and len(set(codes)) == 1 else 1
+    print(f"runs: {options.runs} per src, round by round  cpu: {cpu}")
+    answers = set()  # (exit code, stdout sha256) of every run
+    for src, runs in zip(sources, zip(*rounds)):
+        main_s, child_s, rss, codes, outs = zip(*runs)
+        digests = [hashlib.sha256(out).hexdigest() for out in outs]
+        answers.update(zip(codes, digests))
+        print(f"src: {src}")
+        print(f"  cli.main CPU s: min {min(main_s):.5f}  median {statistics.median(main_s):.5f}")
+        print(f"  child CPU s: min {min(child_s):.5f}  median {statistics.median(child_s):.5f}")
+        print(f"  peak RSS MB: max {max(rss):.1f}")
+        print(f"  exit codes: {sorted(set(codes))}")
+        print(f"  stdout sha256: {' '.join(sorted(set(digests)))}")
+    return 0 if len(answers) == 1 else 1
 
 
 if __name__ == "__main__":
