@@ -483,23 +483,14 @@ def test_verify_refusals_print_one_error_line(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command", [["qvee"], ["qlambda"], ["plscheck"], ["clscheck"], ["cls", "include"], ["ideal", "include"]]
+    "command",
+    [["qvee"], ["qlambda"], ["plscheck"], ["clscheck"], ["cls", "include"], ["ideal", "include"],
+     # past the decision commands, every other parser of the tree
+     [], ["dominates"], ["cls"], ["ideal"], ["ideal", "cls"], ["ideal", "weight"], ["ideal", "upset"],
+     ["ideal", "hasse"], ["verify"]],
 )
 def test_decision_command_help_is_unchanged(capsys, monkeypatch, command):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-    code, out, err = run(capsys, *command, "--help")
-    assert (code, err) == (0, "")
-    assert out == (GOLDEN_HELP / f"{'-'.join(command)}.txt").read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize(
-    "command",
-    [[], ["dominates"], ["cls"], ["ideal"], ["ideal", "cls"], ["ideal", "weight"], ["ideal", "upset"],
-     ["ideal", "hasse"], ["verify"]],
-)
-def test_help_is_unchanged(capsys, monkeypatch, command):
-    # with test_decision_command_help_is_unchanged, every parser of the tree
-    monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run(capsys, *command, "--help")
     assert (code, err) == (0, "")
     assert out == (GOLDEN_HELP / f"{'-'.join(command) or 'slinf'}.txt").read_text(encoding="utf-8")
@@ -564,16 +555,21 @@ def test_a_command_builds_only_its_own_parsers(capsys, monkeypatch):
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     cli.build_parser()
     assert len(built) == 15
-    for argv, parsers in (
+    for argv, progs in (
         (["plscheck", "[2,1,0]", "--widths", "3..4", "--bound", "2"], ["slinf", "slinf plscheck"]),
         (["ideal", "upset", '{"x":1,"y":1}', "--cap", "1"], ["slinf", "slinf ideal", "slinf ideal upset"]),
         (["cls", "include", "{}", "{}"], ["slinf", "slinf cls", "slinf cls include"]),
-        (["ideal", "bogus"], 7),
-        (["--help"], 15), ([], 15), (["-h", "plscheck"], 15), (["--", "plscheck"], 15), (["plsch"], 15),
     ):
         built.clear()
         run(capsys, *argv)
-        assert (built if isinstance(parsers, list) else len(built)) == parsers, argv
+        assert built == progs, argv
+    for argv, count in (
+        (["ideal", "bogus"], 7), (["--help"], 15), ([], 15), (["-h", "plscheck"], 15), (["--", "plscheck"], 15),
+        (["plsch"], 15),
+    ):
+        built.clear()
+        run(capsys, *argv)
+        assert len(built) == count, argv
 
 
 def test_wide_inputs_refuse_cleanly(capsys):

@@ -52,8 +52,12 @@ sys.exit(code)
 """
 
 
-def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float, int, bytes]:
-    """(cli.main CPU s, child CPU s, child peak RSS MB, exit code, stdout) of one fresh run."""
+def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float, int, str]:
+    """(cli.main CPU s, child CPU s, child peak RSS MB, exit code, stdout sha256) of one fresh run.
+
+    Only the digest of stdout is kept: the child is forked from this process,
+    and its peak RSS counts this process's size at the fork.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     read, write = os.pipe()
     with tempfile.TemporaryFile() as out:
@@ -68,10 +72,13 @@ def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float,
         with os.fdopen(read, "rb") as timing:
             reported = timing.read()
         out.seek(0)
-        stdout = out.read()
+        digest = hashlib.sha256()
+        for chunk in iter(lambda: out.read(1 << 16), b""):  # in chunks, so this process stays small
+            digest.update(chunk)
     if not reported:
         raise RuntimeError(f"the child exited {child.returncode} without timing cli.main")
-    return float(reported), usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024, child.returncode, stdout
+    cpu_s = usage.ru_utime + usage.ru_stime
+    return float(reported), cpu_s, usage.ru_maxrss / 1024, child.returncode, digest.hexdigest()
 
 
 def main(args: list[str]) -> int:
@@ -95,8 +102,7 @@ def main(args: list[str]) -> int:
     print(f"runs: {options.runs} per src, round by round  cpu: {cpu}")
     answers = set()  # (exit code, stdout sha256) of every run
     for src, runs in zip(sources, zip(*rounds)):
-        main_s, child_s, rss, codes, outs = zip(*runs)
-        digests = [hashlib.sha256(out).hexdigest() for out in outs]
+        main_s, child_s, rss, codes, digests = zip(*runs)
         answers.update(zip(codes, digests))
         print(f"src: {src}")
         print(f"  cli.main CPU s: min {min(main_s):.5f}  median {statistics.median(main_s):.5f}")
