@@ -25,7 +25,6 @@ from .dominance import (
     tight_gaps_hypotheses,
     wide_window_hypotheses,
 )
-from .hasse import covering_relations, family_hasse, hasse_adjacency, hasse_dot
 from .ideals import (
     AUGMENTATION_IDEAL,
     ZERO_IDEAL,
@@ -65,6 +64,28 @@ from .partitions import (
     is_canonical,
     shift,
 )
-from .verify import VerifyReport, run_suite, suite_names
 
 __version__ = "0.1.0"
+
+# The modules that most commands never use, and their names, are imported on
+# first access (PEP 562): importing slinf or running a decision compiles neither.
+_LAZY = {
+    **dict.fromkeys(("verify", "VerifyReport", "run_suite", "suite_names"), "verify"),
+    **dict.fromkeys(("hasse", "covering_relations", "family_hasse", "hasse_adjacency", "hasse_dot"), "hasse"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{_LAZY[name]}")
+    if name == _LAZY[name]:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

@@ -12,7 +12,6 @@ import json
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from . import verify
 from .cls_codes import ClsCode, bit_indices, code_included
 from .dominance import dominates_interlace, dominates_oracle, gap_criterion
 from .hasse import _hasse_checks, family_hasse
@@ -34,7 +33,7 @@ from .local_systems import (
     is_coherent_on_window,
     is_precoherent_on_window,
 )
-from .partitions import as_zpartition, capped_comb
+from .partitions import DEFAULT_CEILING, as_zpartition, capped_comb
 
 
 def _parse_partition(text: str):
@@ -152,7 +151,7 @@ def _window(args, slack: int | None) -> LevelWindow:
     """
     lo, hi = args.widths
     window = LevelWindow(lo, hi, args.bound)
-    cap = verify.DEFAULT_CEILING
+    cap = DEFAULT_CEILING
     size = _window_cost(window.widths(), args.bound, cap)
     if slack is not None:
         size += _window_cost(range(lo + 1, hi + 1), args.bound + max(slack, 0), cap)
@@ -166,7 +165,7 @@ def _window(args, slack: int | None) -> LevelWindow:
 
 def _refuse_past_ceiling(count: int, what: str, unit: str, shrink: str) -> None:
     """Refuse, before any enumeration, a command whose count of units passes the verify ceiling."""
-    cap = verify.DEFAULT_CEILING
+    cap = DEFAULT_CEILING
     if count > cap:
         raise ValueError(f"{what} would need more than {cap} {unit}; shrink {shrink}")
 
@@ -208,7 +207,7 @@ def _cmd_ideal_weight(args) -> int:
 
 def _cmd_ideal_upset(args) -> int:
     ideal = _parse_ideal(args.ideal)
-    size = upset_size(ideal, args.cap, verify.DEFAULT_CEILING)
+    size = upset_size(ideal, args.cap, DEFAULT_CEILING)
     _refuse_past_ceiling(size, f"the upset of {ideal}", "inclusion checks", "--cap or the ideal's x")
     right, rows = _upset_rows(ideal, args.cap)
     # Ideal.to_json with sort_keys, written row by row: each right diagram's text is
@@ -222,7 +221,7 @@ def _cmd_ideal_upset(args) -> int:
 def _cmd_ideal_hasse(args) -> int:
     bounds = (args.max_x, args.max_y, args.max_cols, args.max_len)
     if min(bounds) >= 0:  # negative bounds are left for family_hasse to refuse
-        checks = _hasse_checks(*bounds, verify.DEFAULT_CEILING)
+        checks = _hasse_checks(*bounds, DEFAULT_CEILING)
         _refuse_past_ceiling(checks, "the Hasse diagram of this family", "inclusion checks", "the --max-* bounds")
     text = family_hasse(args.max_x, args.max_y, args.max_cols, args.max_len, args.format)
     sys.stdout.write(text)
@@ -230,6 +229,8 @@ def _cmd_ideal_hasse(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify  # here and in _verify_arguments only: no other command needs the suites
+
     config = verify.load_grid_config(args.grid_file) if args.grid_file else None
     report = verify.run_suite(args.suite, config=config)
     print(json.dumps(report.to_json(), sort_keys=True, indent=2))
@@ -306,6 +307,8 @@ def _hasse_arguments(p, _):
 
 
 def _verify_arguments(p, _):
+    from . import verify
+
     p.add_argument("suite", help=f"one of: {', '.join(verify.suite_names())}")
     p.add_argument("--grid-file", metavar="PATH", help="JSON grid configuration override")
     p.set_defaults(func=_cmd_verify)

@@ -10,39 +10,47 @@ comparison reduces to finitely many index checks.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_, sub
 
-from .partitions import as_array, as_int, as_object
+from .partitions import Frozen, as_array, as_int, as_object
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class ExtSequence:
+class ExtSequence(Frozen):
     """Nonincreasing sequence: inf_count leading infinities, a head, then the tail forever.
 
     Head entries must be nonincreasing and >= tail; a *normalized* sequence
     has every head entry > tail (trailing copies of the tail are absorbed).
     """
 
-    inf_count: int
-    head: tuple[int, ...]
-    tail: int
+    _fields = ("inf_count", "head", "tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "head", tuple(self.head))
-        if as_int(self.inf_count, "inf_count") < 0:
+    def __init__(self, inf_count: int, head: tuple[int, ...], tail: int):
+        head = tuple(head)
+        if as_int(inf_count, "inf_count") < 0:
             raise ValueError("inf_count must be >= 0")
-        if as_int(self.tail, "tail") < 0:
+        if as_int(tail, "tail") < 0:
             raise ValueError("tail must be >= 0")
-        for v in self.head:
-            if as_int(v, "a head entry") < self.tail:
-                raise ValueError(f"head entry {v} below the tail {self.tail}")
-        if any(self.head[i] < self.head[i + 1] for i in range(len(self.head) - 1)):
-            raise ValueError(f"head must be nonincreasing: {list(self.head)}")
+        for v in head:
+            if as_int(v, "a head entry") < tail:
+                raise ValueError(f"head entry {v} below the tail {tail}")
+        if any(head[i] < head[i + 1] for i in range(len(head) - 1)):
+            raise ValueError(f"head must be nonincreasing: {list(head)}")
+        setattr_ = object.__setattr__
+        setattr_(self, "inf_count", inf_count)
+        setattr_(self, "head", head)
+        setattr_(self, "tail", tail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.inf_count, self.head, self.tail) == (other.inf_count, other.head, other.tail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.inf_count, self.head, self.tail))
 
     @classmethod
     def constant(cls, m: int) -> "ExtSequence":
@@ -82,18 +90,26 @@ class ExtSequence:
         return cls(obj.get("inf", 0), as_array(obj.get("head", []), "head"), obj["tail"])
 
 
-@dataclass(frozen=True)
-class ClsCode:
+class ClsCode(Frozen):
     """A pair of extended sequences sharing one eventual constant (the code's limit)."""
 
-    p: ExtSequence
-    q: ExtSequence
+    _fields = ("p", "q")
 
-    def __post_init__(self):
-        if self.p.tail != self.q.tail:
+    def __init__(self, p: ExtSequence, q: ExtSequence):
+        if p.tail != q.tail:
             raise ValueError(
-                f"both halves must share their limit: {self.p.tail} != {self.q.tail}"
+                f"both halves must share their limit: {p.tail} != {q.tail}"
             )
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     @property
     def limit(self) -> int:

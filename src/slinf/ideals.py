@@ -30,7 +30,6 @@ report the disagreement, and is never used for decisions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations_with_replacement
 from math import comb
@@ -44,35 +43,44 @@ from .cls_codes import (
     _split_fits,
     bit_indices,
 )
-from .partitions import YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
+from .partitions import Frozen, YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """Canonical name of a primitive ideal: the zero ideal, or the data (x, y, Yl, Yr)."""
 
-    x: int = 0
-    y: int = 0
-    yl: YoungDiagram = ()
-    yr: YoungDiagram = ()
-    zero: bool = False
+    _fields = ("x", "y", "yl", "yr", "zero")
 
-    def __post_init__(self):
-        as_int(self.x, "x")
-        as_int(self.y, "y")
-        object.__setattr__(self, "yl", as_young_diagram(self.yl))
-        object.__setattr__(self, "yr", as_young_diagram(self.yr))
-        if self.x < 0 or self.y < 0:
+    def __init__(self, x: int = 0, y: int = 0, yl: YoungDiagram = (), yr: YoungDiagram = (), zero: bool = False):
+        as_int(x, "x")
+        as_int(y, "y")
+        yl = as_young_diagram(yl)
+        yr = as_young_diagram(yr)
+        if x < 0 or y < 0:
             raise ValueError("x and y must be nonnegative")
-        if self.zero and (self.x or self.y or self.yl or self.yr):
+        if zero and (x or y or yl or yr):
             raise ValueError("the zero ideal carries no data")
+        setattr_ = object.__setattr__
+        setattr_(self, "x", x)
+        setattr_(self, "y", y)
+        setattr_(self, "yl", yl)
+        setattr_(self, "yr", yr)
+        setattr_(self, "zero", zero)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.yl, self.yr, self.zero) == (other.x, other.y, other.yl, other.yr, other.zero)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x, self.y, self.yl, self.yr, self.zero))
 
     @classmethod
     def _trusted(cls, x: int, y: int, yl: YoungDiagram, yr: YoungDiagram) -> "Ideal":
-        """A nonzero ideal without __post_init__, for enumerator output only: data valid by construction."""
+        """A nonzero ideal without the checks of __init__, for enumerator output only: data valid by construction."""
         ideal = object.__new__(cls)
-        # one attribute at a time, as the dataclass __init__ sets them, keeps
-        # the instance as small as a validated one; __dict__.update doubles it
+        # one attribute at a time, in the order __init__ sets them, keeps the
+        # instance as small as a validated one; __dict__.update doubles it
         setattr_ = object.__setattr__
         setattr_(ideal, "x", x)
         setattr_(ideal, "y", y)
@@ -337,8 +345,7 @@ def acc_measure(ideal: Ideal) -> tuple[int, int]:
     return (ideal.x + ideal.y, sum(ideal.yl) + sum(ideal.yr))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Frozen):
     """Formal weight: finitely many coefficients plus a constant odd tail.
 
     A coefficient is a pair (u, v) standing for u + v*alpha with alpha a
@@ -348,20 +355,28 @@ class Weight:
     to that default are dropped, so equality is canonical.
     """
 
-    coefficients: tuple[tuple[int, int], ...]
-    odd_tail: int
+    _fields = ("coefficients", "odd_tail")
 
-    def __post_init__(self):
-        if self.odd_tail < 0:
+    def __init__(self, coefficients: tuple[tuple[int, int], ...], odd_tail: int):
+        if odd_tail < 0:
             raise ValueError("odd_tail must be >= 0")
         # a pair that is already a 2-tuple of exact ints is kept, not copied
         coefficients = [
             c if type(c) is tuple and len(c) == 2 and type(c[0]) is int and type(c[1]) is int else _int_pair(c)
-            for c in self.coefficients
+            for c in coefficients
         ]
+        object.__setattr__(self, "odd_tail", odd_tail)
         while coefficients and coefficients[-1] == self._past_end(len(coefficients)):
             coefficients.pop()
         object.__setattr__(self, "coefficients", tuple(coefficients))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.coefficients, self.odd_tail) == (other.coefficients, other.odd_tail)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coefficients, self.odd_tail))
 
     def _past_end(self, index: int) -> tuple[int, int]:
         return (self.odd_tail, 0) if index % 2 else (0, 0)

@@ -19,34 +19,41 @@ window member stays in the window: the window checks look one step down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .dominance import _gap_column, _interlaces, dominates_interlace
-from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
+from .partitions import Frozen, ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
 
 
-@dataclass(frozen=True)
-class LevelWindow:
+class LevelWindow(Frozen):
     """Finite test window: widths n_min..n_max, canonical entries <= entry_bound."""
 
-    n_min: int
-    n_max: int
-    entry_bound: int
+    _fields = ("n_min", "n_max", "entry_bound")
 
-    def __post_init__(self):
-        if not 2 <= self.n_min <= self.n_max:
-            raise ValueError(f"need 2 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
-        if self.entry_bound < 0:
+    def __init__(self, n_min: int, n_max: int, entry_bound: int):
+        if not 2 <= n_min <= n_max:
+            raise ValueError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
+        if entry_bound < 0:
             raise ValueError("entry_bound must be >= 0")
+        setattr_ = object.__setattr__
+        setattr_(self, "n_min", n_min)
+        setattr_(self, "n_max", n_max)
+        setattr_(self, "entry_bound", entry_bound)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n_min, self.n_max, self.entry_bound) == (other.n_min, other.n_max, other.entry_bound)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n_min, self.n_max, self.entry_bound))
 
     def widths(self) -> range:
         return range(self.n_min, self.n_max + 1)
 
 
-@dataclass(frozen=True)
-class LocalSystem:
+class LocalSystem(Frozen):
     """Membership column on shift classes plus a human-readable descriptor.
 
     ``members(mus)`` answers, for a nonempty list of canonical classes of one
@@ -55,8 +62,19 @@ class LocalSystem:
     compare entry differences or canonical classes).
     """
 
-    members: Callable[[list[ShiftClass]], list[bool]]
-    description: str
+    _fields = ("members", "description")
+
+    def __init__(self, members: Callable[[list[ShiftClass]], list[bool]], description: str):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "description", description)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.members, self.description) == (other.members, other.description)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.members, self.description))
 
     def contains(self, mu: Sequence[int]) -> bool:
         """Membership of one Z-partition: validated, then asked as a column of its class."""

@@ -23,6 +23,33 @@ ZPartition = tuple[int, ...]
 ShiftClass = tuple[int, ...]
 YoungDiagram = tuple[int, ...]
 
+DEFAULT_CEILING = 10_000_000  # elementary checks a suite or a CLI answer may cost unless configured
+
+
+def fields_repr(obj) -> str:
+    """``Name(field=value, ...)`` over the fields obj's class lists in ``_fields``."""
+    return f"{type(obj).__qualname__}({', '.join(f'{name}={getattr(obj, name)!r}' for name in obj._fields)})"
+
+
+class Frozen:
+    """Base of the immutable value classes: a repr of the fields, and no assignment or deletion.
+
+    A subclass lists its fields in ``_fields``, sets each one in ``__init__``
+    with ``object.__setattr__``, and writes ``__eq__`` and ``__hash__`` on the
+    tuple of its fields (an instance of another class is never equal).  Those
+    two are written out per class because the order and membership loops run
+    them: a generic version reading the fields through ``_fields`` is slower.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __repr__ = fields_repr
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
 
 def as_int(value, what: str) -> int:
     """Strict integer check: exactly int, so bool, float and str are refused, never coerced."""

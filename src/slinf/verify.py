@@ -10,11 +10,9 @@ module, so acceptance runs are reproducible; overrides are explicit.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations_with_replacement, islice
 from pathlib import Path
@@ -47,9 +45,17 @@ from .ideals import (
     is_contained,
 )
 from .local_systems import _gap_union_column
-from .partitions import ShiftClass, as_array, as_int, canonicalize, class_count, enumerate_classes
+from .partitions import (
+    DEFAULT_CEILING,
+    ShiftClass,
+    as_array,
+    as_int,
+    canonicalize,
+    class_count,
+    enumerate_classes,
+    fields_repr,
+)
 
-DEFAULT_CEILING = 10_000_000
 MAX_STORED_COUNTEREXAMPLES = 50
 
 
@@ -61,20 +67,49 @@ class GridTooLargeError(ValueError):
     pass
 
 
-@dataclass
 class VerifyReport:
     """Machine-readable outcome of one suite run; counts are exact, never sampled."""
 
-    suite: str
-    grid: dict
-    checked: int
-    passed: int
-    failed: int
-    counterexamples: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
+    _fields = ("suite", "grid", "checked", "passed", "failed", "counterexamples", "details")
+    __repr__ = fields_repr
+    __hash__ = None  # a mutable record
+
+    def __init__(
+        self,
+        suite: str,
+        grid: dict,
+        checked: int,
+        passed: int,
+        failed: int,
+        counterexamples: list[dict] | None = None,
+        details: dict | None = None,
+    ):
+        self.suite = suite
+        self.grid = grid
+        self.checked = checked
+        self.passed = passed
+        self.failed = failed
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.details = {} if details is None else details
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return [getattr(self, name) for name in self._fields] == [getattr(other, name) for name in self._fields]
+        return NotImplemented
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields by name, every nested dict, list and tuple copied."""
+        return {name: _copied(getattr(self, name)) for name in self._fields}
+
+
+def _copied(value):
+    # a deep copy of nested dicts, lists and tuples, each as its own type;
+    # anything else a report holds is an immutable JSON scalar, shared
+    if isinstance(value, dict):
+        return type(value)((_copied(k), _copied(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value)(_copied(v) for v in value)
+    return value
 
 
 class _Collector:

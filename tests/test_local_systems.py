@@ -25,7 +25,7 @@ from slinf.local_systems import (
     is_coherent_on_window,
     is_precoherent_on_window,
 )
-from slinf.partitions import canonicalize, enumerate_classes
+from slinf.partitions import canonicalize, enumerate_classes, shift
 from slinf.verify import run_suite
 
 
@@ -57,6 +57,24 @@ def test_gap_system_index_validation():
         gap_system_contains(2, 2, 1, 2, (0, 0))
     with pytest.raises(ValueError):
         gap_system_contains(1, 3, 1, 2, (0, 0))
+
+
+def test_gap_union_is_the_union_of_its_single_gap_systems():
+    # the identity gap_union_contains' docstring states, on a grid: lam widths
+    # 2-3 and mu widths #lam..#lam + 5, entries <= 4, each mu also shifted up
+    # and down (negative entries too); gaps of mu equal to each v occur
+    checked = 0
+    for n in (2, 3):
+        for lam in enumerate_classes(n, 4):
+            gaps = [(k, l, lam[k - 1] - lam[l - 1]) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+            for width in range(n, n + 6):
+                for mu in enumerate_classes(width, 4):
+                    for d in (0, 3, -2):
+                        mu_d = shift(mu, d)
+                        union = any(gap_system_contains(k, l, v, n, mu_d) for k, l, v in gaps)
+                        assert gap_union_contains(lam, mu_d) is union, (lam, mu_d)
+                        checked += 1
+    assert checked == 3 * (5 * 461 + 15 * 786)
 
 
 def test_gap_union_examples():

@@ -12,12 +12,14 @@ For example, to compare a parent checkout with this one:
 Each run starts a new ``python3`` with DIR (default ``src``) first on its
 ``PYTHONPATH``, pinned with ``os.sched_setaffinity`` to the last CPU this
 process may run on, before the interpreter starts.  The child imports
-``slinf.cli`` and times ``main(ARGV)`` alone with ``time.process_time``, so
-interpreter start and imports are not counted.  With several ``--src``, the
+``slinf.cli``, reads ``time.process_time`` (its CPU so far: interpreter start
+and imports), and times ``main(ARGV)`` alone.  With several ``--src``, the
 runs go round by round, one run per DIR in the order given, so a drift of
 the machine's speed reaches every DIR alike.  For each DIR the script prints:
 
 - the min and median CPU s of ``cli.main``;
+- the min and median CPU s of the child before ``main``: interpreter start
+  and imports;
 - the min and median CPU s of the whole child (user + system, from
   ``os.wait4``, interpreter start included);
 - the child's peak RSS in MB (its ``ru_maxrss``, from ``os.wait4``), max over
@@ -47,13 +49,13 @@ start = time.process_time()
 code = main(argv)
 spent = time.process_time() - start
 sys.stdout.flush()
-os.write(int(sys.argv[1]), repr(spent).encode())
+os.write(int(sys.argv[1]), f"{start!r} {spent!r}".encode())
 sys.exit(code)
 """
 
 
-def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float, int, str]:
-    """(cli.main CPU s, child CPU s, child peak RSS MB, exit code, stdout sha256) of one fresh run.
+def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float, float, int, str]:
+    """(cli.main CPU s, CPU s before main, child CPU s, child peak RSS MB, exit code, stdout sha256) of one fresh run.
 
     Only the digest of stdout is kept: the child is forked from this process,
     and its peak RSS counts this process's size at the fork.
@@ -77,8 +79,9 @@ def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float,
             digest.update(chunk)
     if not reported:
         raise RuntimeError(f"the child exited {child.returncode} without timing cli.main")
+    before_s, main_s = map(float, reported.split())
     cpu_s = usage.ru_utime + usage.ru_stime
-    return float(reported), cpu_s, usage.ru_maxrss / 1024, child.returncode, digest.hexdigest()
+    return main_s, before_s, cpu_s, usage.ru_maxrss / 1024, child.returncode, digest.hexdigest()
 
 
 def main(args: list[str]) -> int:
@@ -102,10 +105,11 @@ def main(args: list[str]) -> int:
     print(f"runs: {options.runs} per src, round by round  cpu: {cpu}")
     answers = set()  # (exit code, stdout sha256) of every run
     for src, runs in zip(sources, zip(*rounds)):
-        main_s, child_s, rss, codes, digests = zip(*runs)
+        main_s, before_s, child_s, rss, codes, digests = zip(*runs)
         answers.update(zip(codes, digests))
         print(f"src: {src}")
         print(f"  cli.main CPU s: min {min(main_s):.5f}  median {statistics.median(main_s):.5f}")
+        print(f"  before main CPU s: min {min(before_s):.5f}  median {statistics.median(before_s):.5f}")
         print(f"  child CPU s: min {min(child_s):.5f}  median {statistics.median(child_s):.5f}")
         print(f"  peak RSS MB: max {max(rss):.1f}")
         print(f"  exit codes: {sorted(set(codes))}")
