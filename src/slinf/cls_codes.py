@@ -14,12 +14,13 @@ from functools import reduce
 from itertools import compress
 from operator import or_, sub
 
-from .partitions import Frozen, as_array, as_int, as_object
+from .partitions import as_array, as_int, as_object, frozen
 
 INF = float("inf")
 
 
-class ExtSequence(Frozen):
+@frozen
+class ExtSequence:
     """Nonincreasing sequence: inf_count leading infinities, a head, then the tail forever.
 
     Head entries must be nonincreasing and >= tail; a *normalized* sequence
@@ -90,7 +91,8 @@ class ExtSequence(Frozen):
         return cls(obj.get("inf", 0), as_array(obj.get("head", []), "head"), obj["tail"])
 
 
-class ClsCode(Frozen):
+@frozen
+class ClsCode:
     """A pair of extended sequences sharing one eventual constant (the code's limit)."""
 
     _fields = ("p", "q")

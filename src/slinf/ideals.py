@@ -43,10 +43,11 @@ from .cls_codes import (
     _split_fits,
     bit_indices,
 )
-from .partitions import Frozen, YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb
+from .partitions import YoungDiagram, as_array, as_int, as_object, as_young_diagram, capped_comb, frozen
 
 
-class Ideal(Frozen):
+@frozen
+class Ideal:
     """Canonical name of a primitive ideal: the zero ideal, or the data (x, y, Yl, Yr)."""
 
     _fields = ("x", "y", "yl", "yr", "zero")
@@ -345,7 +346,8 @@ def acc_measure(ideal: Ideal) -> tuple[int, int]:
     return (ideal.x + ideal.y, sum(ideal.yl) + sum(ideal.yr))
 
 
-class Weight(Frozen):
+@frozen
+class Weight:
     """Formal weight: finitely many coefficients plus a constant odd tail.
 
     A coefficient is a pair (u, v) standing for u + v*alpha with alpha a

@@ -23,10 +23,11 @@ from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 from .dominance import _gap_column, _interlaces, dominates_interlace
-from .partitions import Frozen, ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes
+from .partitions import ShiftClass, ZPartition, _iter_children, as_zpartition, canonicalize, enumerate_classes, frozen
 
 
-class LevelWindow(Frozen):
+@frozen
+class LevelWindow:
     """Finite test window: widths n_min..n_max, canonical entries <= entry_bound."""
 
     _fields = ("n_min", "n_max", "entry_bound")
@@ -53,7 +54,8 @@ class LevelWindow(Frozen):
         return range(self.n_min, self.n_max + 1)
 
 
-class LocalSystem(Frozen):
+@frozen
+class LocalSystem:
     """Membership column on shift classes plus a human-readable descriptor.
 
     ``members(mus)`` answers, for a nonempty list of canonical classes of one

@@ -31,24 +31,27 @@ def fields_repr(obj) -> str:
     return f"{type(obj).__qualname__}({', '.join(f'{name}={getattr(obj, name)!r}' for name in obj._fields)})"
 
 
-class Frozen:
-    """Base of the immutable value classes: a repr of the fields, and no assignment or deletion.
+def _cannot_assign(obj, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
 
-    A subclass lists its fields in ``_fields``, sets each one in ``__init__``
+
+def _cannot_delete(obj, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def frozen(cls):
+    """Make cls an immutable value class: a repr of its fields, and no assignment or deletion.
+
+    The class lists its fields in ``_fields``, sets each one in ``__init__``
     with ``object.__setattr__``, and writes ``__eq__`` and ``__hash__`` on the
     tuple of its fields (an instance of another class is never equal).  Those
-    two are written out per class because the order and membership loops run
-    them: a generic version reading the fields through ``_fields`` is slower.
+    two are written out per class, not read generically through ``_fields``,
+    because the order and membership loops call them.  The methods are set on
+    the class itself: with a common base class instead, ``!=`` on a ClsCode
+    took about 4 % longer.
     """
-
-    _fields: tuple[str, ...] = ()
-    __repr__ = fields_repr
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    cls.__repr__, cls.__setattr__, cls.__delattr__ = fields_repr, _cannot_assign, _cannot_delete
+    return cls
 
 
 def as_int(value, what: str) -> int:

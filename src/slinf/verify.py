@@ -74,16 +74,7 @@ class VerifyReport:
     __repr__ = fields_repr
     __hash__ = None  # a mutable record
 
-    def __init__(
-        self,
-        suite: str,
-        grid: dict,
-        checked: int,
-        passed: int,
-        failed: int,
-        counterexamples: list[dict] | None = None,
-        details: dict | None = None,
-    ):
+    def __init__(self, suite: str, grid: dict, checked: int, passed: int, failed: int, counterexamples=None, details=None):
         self.suite = suite
         self.grid = grid
         self.checked = checked

@@ -44,15 +44,17 @@ def test_imports_load_no_dataclass_machinery_and_no_unasked_module(statement, lo
 def test_lazy_names_still_resolve():
     out = _fresh(
         "import slinf\n"
-        "print(slinf.run_suite.__module__, slinf.family_hasse.__module__, slinf.verify.__name__, slinf.hasse.__name__)\n"
+        "print(slinf.run_suite.__module__, slinf.family_hasse.__module__)\n"
+        "print(slinf.verify.__name__, slinf.hasse.__name__)\n"
         "from slinf import VerifyReport, suite_names, verify\n"
-        "print(VerifyReport is verify.VerifyReport, suite_names() == verify.suite_names(), 'run_suite' in dir(slinf))\n"
-        "print(verify.DEFAULT_CEILING == slinf.partitions.DEFAULT_CEILING)"
+        "print(VerifyReport is verify.VerifyReport, suite_names() == verify.suite_names())\n"
+        "print('run_suite' in dir(slinf), verify.DEFAULT_CEILING == slinf.partitions.DEFAULT_CEILING)"
     )
     assert out.split("\n") == [
-        "slinf.verify slinf.hasse slinf.verify slinf.hasse",
-        "True True True",
-        "True",
+        "slinf.verify slinf.hasse",
+        "slinf.verify slinf.hasse",
+        "True True",
+        "True True",
         "",
     ]
     with pytest.raises(AttributeError, match="has no attribute 'nothing'"):

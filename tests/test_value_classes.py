@@ -191,7 +191,9 @@ def test_reports_are_mutable_unhashable_records():
     report = VerifyReport("s", {"g": 1}, 2, 2, 0)
     assert report.counterexamples == [] and report.details == {}
     assert VerifyReport("t", {}, 0, 0, 0).counterexamples is not VerifyReport("t", {}, 0, 0, 0).counterexamples
-    assert repr(report) == "VerifyReport(suite='s', grid={'g': 1}, checked=2, passed=2, failed=0, counterexamples=[], details={})"
+    assert repr(report) == (
+        "VerifyReport(suite='s', grid={'g': 1}, checked=2, passed=2, failed=0, counterexamples=[], details={})"
+    )
     assert report == VerifyReport("s", {"g": 1}, 2, 2, 0, [], {})
     assert report != VerifyReport("s", {"g": 1}, 2, 1, 1) and report != _ReportFields("s", {"g": 1}, 2, 2, 0)
     with pytest.raises(TypeError):
