@@ -99,9 +99,7 @@ class ClsCode:
 
     def __init__(self, p: ExtSequence, q: ExtSequence):
         if p.tail != q.tail:
-            raise ValueError(
-                f"both halves must share their limit: {p.tail} != {q.tail}"
-            )
+            raise ValueError(f"both halves must share their limit: {p.tail} != {q.tail}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

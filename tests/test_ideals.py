@@ -307,12 +307,15 @@ LATTICE_UPSETS = [
 
 @pytest.mark.parametrize("upset_of", [None, *LATTICE_UPSETS], ids=lambda i: "frozen-family" if i is None else str(i))
 def test_enumerated_ideals_equal_validated_ones(upset_of):
-    # both enumerators build their ideals without __post_init__; each must be
-    # the ideal that validated construction gives, field for field
+    # both enumerators build their ideals without the checks of __init__; each
+    # must be the ideal that validated construction gives, field for field and
+    # in the order __init__ sets the fields
     built = enumerate_ideals(2, 2, 2, 2) if upset_of is None else containing_ideals(upset_of, 4)
     for ideal in built:
         validated = Ideal(**ideal.to_json())
-        assert (ideal, hash(ideal), vars(ideal)) == (validated, hash(validated), vars(validated))
+        assert (ideal, hash(ideal), list(vars(ideal).items()), repr(ideal)) == (
+            validated, hash(validated), list(vars(validated).items()), repr(validated)
+        )
 
 
 def test_ideal_validation_and_json():

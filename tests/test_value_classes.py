@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from slinf.cls_codes import ClsCode, ExtSequence
-from slinf.ideals import ZERO_IDEAL, Ideal, Weight, enumerate_ideals
+from slinf.ideals import ZERO_IDEAL, Ideal, Weight
 from slinf.local_systems import LevelWindow, LocalSystem, avoiding_system
 from slinf.verify import VerifyReport, run_suite
 
@@ -134,13 +134,6 @@ def test_constructors_take_the_same_arguments():
         ExtSequence(0, ())
     with pytest.raises(TypeError):
         LocalSystem(_members)
-
-
-def test_enumerated_ideals_are_the_validated_ones():
-    for ideal in enumerate_ideals(2, 1, 1, 2):
-        twin = Ideal(ideal.x, ideal.y, list(ideal.yl), list(ideal.yr))
-        assert twin == ideal and hash(twin) == hash(ideal) and repr(twin) == repr(ideal)
-        assert vars(twin) == vars(ideal) and list(vars(ideal)) == ["x", "y", "yl", "yr", "zero"]
 
 
 def test_systems_compare_by_their_column_and_description():
