@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .cls_codes import ClsCode, bit_indices, code_included
 from .dominance import dominates_interlace, dominates_oracle, gap_criterion
-from .hasse import _hasse_checks, family_hasse
 from .ideals import (
     Ideal,
     _upset_rows,
@@ -53,9 +52,10 @@ def _parse_code(text: str) -> ClsCode:
 
 def _parse_widths(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    if not sep:
-        hi = lo
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected widths A..B or one width A, with integers A and B, got {text!r}")
 
 
 def _emit(value) -> None:
@@ -219,6 +219,8 @@ def _cmd_ideal_upset(args) -> int:
 
 
 def _cmd_ideal_hasse(args) -> int:
+    from .hasse import _hasse_checks, family_hasse  # here only: no other command draws a diagram
+
     bounds = (args.max_x, args.max_y, args.max_cols, args.max_len)
     if min(bounds) >= 0:  # negative bounds are left for family_hasse to refuse
         checks = _hasse_checks(*bounds, DEFAULT_CEILING)

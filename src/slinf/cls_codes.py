@@ -45,14 +45,6 @@ class ExtSequence:
         setattr_(self, "head", head)
         setattr_(self, "tail", tail)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.inf_count, self.head, self.tail) == (other.inf_count, other.head, other.tail)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.inf_count, self.head, self.tail))
-
     @classmethod
     def constant(cls, m: int) -> "ExtSequence":
         return cls(0, (), m)
@@ -102,14 +94,6 @@ class ClsCode:
             raise ValueError(f"both halves must share their limit: {p.tail} != {q.tail}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q) == (other.p, other.q)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.q))
 
     @property
     def limit(self) -> int:

@@ -68,14 +68,6 @@ class Ideal:
         setattr_(self, "yr", yr)
         setattr_(self, "zero", zero)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y, self.yl, self.yr, self.zero) == (other.x, other.y, other.yl, other.yr, other.zero)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.x, self.y, self.yl, self.yr, self.zero))
-
     @classmethod
     def _trusted(cls, x: int, y: int, yl: YoungDiagram, yr: YoungDiagram) -> "Ideal":
         """A nonzero ideal without the checks of __init__, for enumerator output only: data valid by construction."""
@@ -371,14 +363,6 @@ class Weight:
         while coefficients and coefficients[-1] == self._past_end(len(coefficients)):
             coefficients.pop()
         object.__setattr__(self, "coefficients", tuple(coefficients))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.coefficients, self.odd_tail) == (other.coefficients, other.odd_tail)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.coefficients, self.odd_tail))
 
     def _past_end(self, index: int) -> tuple[int, int]:
         return (self.odd_tail, 0) if index % 2 else (0, 0)

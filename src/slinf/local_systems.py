@@ -42,14 +42,6 @@ class LevelWindow:
         setattr_(self, "n_max", n_max)
         setattr_(self, "entry_bound", entry_bound)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n_min, self.n_max, self.entry_bound) == (other.n_min, other.n_max, other.entry_bound)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.n_min, self.n_max, self.entry_bound))
-
     def widths(self) -> range:
         return range(self.n_min, self.n_max + 1)
 
@@ -69,14 +61,6 @@ class LocalSystem:
     def __init__(self, members: Callable[[list[ShiftClass]], list[bool]], description: str):
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "description", description)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.members, self.description) == (other.members, other.description)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.members, self.description))
 
     def contains(self, mu: Sequence[int]) -> bool:
         """Membership of one Z-partition: validated, then asked as a column of its class."""

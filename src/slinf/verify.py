@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from importlib import resources
 from itertools import combinations_with_replacement, islice
+from operator import attrgetter
 from pathlib import Path
 
 from .cls_codes import (
@@ -48,6 +49,7 @@ from .local_systems import _gap_union_column
 from .partitions import (
     DEFAULT_CEILING,
     ShiftClass,
+    _fields_eq,
     as_array,
     as_int,
     canonicalize,
@@ -71,8 +73,8 @@ class VerifyReport:
     """Machine-readable outcome of one suite run; counts are exact, never sampled."""
 
     _fields = ("suite", "grid", "checked", "passed", "failed", "counterexamples", "details")
-    __repr__ = fields_repr
-    __hash__ = None  # a mutable record
+    _field_values = attrgetter(*_fields)
+    __eq__, __repr__ = _fields_eq, fields_repr  # an __eq__ without a __hash__: a mutable record is unhashable
 
     def __init__(self, suite: str, grid: dict, checked: int, passed: int, failed: int, counterexamples=None, details=None):
         self.suite = suite
@@ -82,11 +84,6 @@ class VerifyReport:
         self.failed = failed
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.details = {} if details is None else details
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return [getattr(self, name) for name in self._fields] == [getattr(other, name) for name in self._fields]
-        return NotImplemented
 
     def to_json(self) -> dict:
         """The fields by name, every nested dict, list and tuple copied."""
@@ -470,6 +467,8 @@ def _suite_maximal(grid: dict, ceiling: int) -> VerifyReport:
 
 def _suite_acc(grid: dict, ceiling: int) -> VerifyReport:
     chains = int(grid.get("chains", 1000))
+    if chains < 0:
+        raise ValueError(f"grid value 'chains' must be >= 0, got {chains}")
     n, family, rows = _ideal_rows(grid, ceiling, "acc", lambda n: n * n + chains)
     checked = n * n + chains
     bad = _Collector()

@@ -390,7 +390,7 @@ def test_upset_and_hasse_refuse_oversized_requests_before_enumerating(capsys, mo
 
 def test_hasse_guard_accepts_the_benchmarked_and_wide_spread_families(capsys, monkeypatch):
     # the guard counts the words of the group ANDs and the rows, and lets these through
-    monkeypatch.setattr("slinf.cli.family_hasse", lambda *bounds: "drawn\n")
+    monkeypatch.setattr("slinf.hasse.family_hasse", lambda *bounds: "drawn\n")
     for x, y, cols, length in (
         ("2", "2", "2", "2"), ("2", "1", "2", "2"), ("0", "500", "0", "0"), ("0", "1500", "0", "0"),
         ("1", "60", "1", "1"), ("0", "12", "1", "12"), ("2", "20", "2", "2"),
@@ -482,6 +482,19 @@ def test_verify_refusals_print_one_error_line(capsys, tmp_path):
         assert reason in err, err
 
 
+def test_acc_refuses_a_negative_chain_count(capsys, tmp_path):
+    # -1 000 000 chains used to exit 0 on "checked": -895024, and -104 976, the
+    # 324**2 pairs the suite did check, to be refused as "checked nothing"
+    grid = load_grid_config()["suites"]["acc"]
+    grids = tmp_path / "chains.json"
+    for chains in (-1_000_000, -104_976, -1):
+        grids.write_text(json.dumps({"suites": {"acc": {**grid, "chains": chains}}}))
+        code, out, err = run(capsys, "verify", "acc", "--grid-file", str(grids))
+        assert (code, out, err) == (2, "", f"error: grid value 'chains' must be >= 0, got {chains}\n")
+    report = verify.run_suite("acc", {"chains": 0})
+    assert (report.checked, report.failed, report.details["chains_run"]) == (324 * 324, 0, 0)
+
+
 @pytest.mark.parametrize(
     "command",
     [["qvee"], ["qlambda"], ["plscheck"], ["clscheck"], ["cls", "include"], ["ideal", "include"],
@@ -536,6 +549,12 @@ def test_usage_errors_exit_2(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    # a malformed window names the form it takes, not the function that parses it
+    for widths in ("3..", "..4", "3..4..5", "x"):
+        code, out, err = run(capsys, "plscheck", "[3,1,0]", "--widths", widths, "--bound", "2")
+        assert (code, out) == (2, "") and err == (
+            f"error: argument --widths: expected widths A..B or one width A, with integers A and B, got {widths!r}\n"
+        )
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "") and out.startswith("usage: slinf")
     code, out, err = run(capsys, "ideal", "hasse", "--help")

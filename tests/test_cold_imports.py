@@ -33,7 +33,7 @@ def _loaded_after(statement: str) -> set[str]:
     "statement, loaded",
     [
         ("import slinf", set()),
-        ("import slinf.cli", {"slinf.hasse"}),
+        ("import slinf.cli", set()),
         ("import slinf.verify", {"slinf.verify"}),
     ],
 )

@@ -16,6 +16,7 @@ import pytest
 from slinf.cls_codes import ClsCode, ExtSequence
 from slinf.ideals import ZERO_IDEAL, Ideal, Weight
 from slinf.local_systems import LevelWindow, LocalSystem, avoiding_system
+from slinf.partitions import frozen
 from slinf.verify import VerifyReport, run_suite
 
 
@@ -140,6 +141,41 @@ def test_systems_compare_by_their_column_and_description():
     a = avoiding_system([2, 0])
     assert a == a and a != avoiding_system([2, 0])  # each call makes its own column
     assert LocalSystem(a.members, a.description) == a
+
+
+@frozen
+class _Pair:
+    # no __eq__ or __hash__ of its own: frozen derives both from _fields
+    _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+@frozen
+class _Twin:
+    # another value class, of the same fields
+    _fields = ("left", "right")
+    __init__ = _Pair.__init__
+
+
+class _SubPair(_Pair):
+    pass
+
+
+def test_frozen_alone_compares_and_hashes_by_the_fields():
+    a, b = _Pair(1, (2, 3)), _Pair(1, (2, 3))
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash((1, (2, 3)))
+    assert a != _Pair(1, (2, 4)) and a != _Pair(0, (2, 3)) and not a == _Pair(0, (2, 3))
+    assert len({a, b, _Pair(0, ())}) == 2
+    for other in (_Twin(1, (2, 3)), _SubPair(1, (2, 3)), (1, (2, 3)), {"left": 1, "right": (2, 3)}, None):
+        assert a != other and other != a and not a == other and not other == a
+        assert a.__eq__(other) is NotImplemented
+    assert repr(a) == "_Pair(left=1, right=(2, 3))" and repr(_Twin(0, 1)) == "_Twin(left=0, right=1)"
+    with pytest.raises(AttributeError):
+        a.left = 0
 
 
 @dataclasses.dataclass
