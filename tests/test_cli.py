@@ -473,26 +473,20 @@ def test_verify_refusals_print_one_error_line(capsys, tmp_path):
     # run_suite's own refusals reach main's error path like every other ValueError
     grids = tmp_path / "wide_x.json"
     grids.write_text(json.dumps({"suites": {"acc": {"max_x": 3000, "max_y": 0, "max_cols": 0, "max_len": 0}}}))
-    for argv, reason in (
+    cases = [
         (["verify", "nosuch"], "error: unknown suite 'nosuch'; known suites: acc, "),
         (["verify", "acc", "--grid-file", str(grids)], "above the ceiling of 10000000"),
-    ):
+    ]
+    # -1 000 000 chains used to exit 0 on "checked": -895024, and -104 976, the
+    # 324**2 pairs acc did check, to be refused as "checked nothing"
+    for chains in (-1_000_000, -104_976):
+        path = tmp_path / f"chains{chains}.json"
+        path.write_text(json.dumps({"suites": {"acc": {**DEFAULT_GRIDS["acc"], "chains": chains}}}))
+        cases.append((["verify", "acc", "--grid-file", str(path)], f"grid value 'chains' must be >= 0, got {chains}\n"))
+    for argv, reason in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert reason in err, err
-
-
-def test_acc_refuses_a_negative_chain_count(capsys, tmp_path):
-    # -1 000 000 chains used to exit 0 on "checked": -895024, and -104 976, the
-    # 324**2 pairs the suite did check, to be refused as "checked nothing"
-    grid = load_grid_config()["suites"]["acc"]
-    grids = tmp_path / "chains.json"
-    for chains in (-1_000_000, -104_976, -1):
-        grids.write_text(json.dumps({"suites": {"acc": {**grid, "chains": chains}}}))
-        code, out, err = run(capsys, "verify", "acc", "--grid-file", str(grids))
-        assert (code, out, err) == (2, "", f"error: grid value 'chains' must be >= 0, got {chains}\n")
-    report = verify.run_suite("acc", {"chains": 0})
-    assert (report.checked, report.failed, report.details["chains_run"]) == (324 * 324, 0, 0)
 
 
 @pytest.mark.parametrize(
