@@ -18,10 +18,15 @@ reaches mu.  It prunes nothing else and never consults a closed form, so a
 True answer is still witnessed by an explicit chain and the suites that
 replay the oracle still compare two independent routes.
 
-The search memoizes per target: it takes a dict from intermediates to their
-answers against one mu, and the caller chooses how long that dict lives.
-``dominates_oracle`` keeps one per mu for the life of the process; each
-suite keeps its own for one target or one run, and drops it after.
+At the last width step a child reaches mu only by being it, so the search
+scans that step's children for mu: it neither searches nor memoizes them,
+and a top of mu's own width is answered by equality.
+
+The search memoizes per target: it takes a dict from intermediates wider
+than mu to their answers against mu, and the caller chooses how long that
+dict lives.  ``dominates_oracle`` keeps one per mu for the life of the
+process, and only for the mus it has searched for; each suite keeps its own
+for one target or one run, and drops it after.
 
 The remaining predicates test HYPOTHESES of closed-form sufficient
 conditions; their conclusion (dominance) is enforced by the verify suites,
@@ -63,7 +68,7 @@ _ORACLE_MEMOS: dict[ShiftClass, dict[ShiftClass, bool]] = {}
 
 
 def _dominates(top: ShiftClass, target: ShiftClass, memo: dict[ShiftClass, bool]) -> bool:
-    # Both arguments canonical, len(top) >= len(target), top[0] >= target[0].
+    # Both arguments canonical, len(top) > len(target), top[0] >= target[0].
     # memo maps the intermediates searched against this one target to their
     # answers; the caller chooses its scope, and queries that share it share
     # all intermediate results.  The answer for top is stored in it, and a
@@ -75,13 +80,16 @@ def _dominates(top: ShiftClass, target: ShiftClass, memo: dict[ShiftClass, bool]
     # is almost always in the memo already, because the suites search
     # narrower targets first; the generator yields it again as one memo hit,
     # so the order and the memoized intermediates are those of the enumerator
-    # alone.  Only dead branches are cut, so a True answer is still a chain
+    # alone.  At the last width step a child reaches target only by being
+    # it, so the children are scanned for target, and none of them is
+    # searched or memoized: the memo holds only intermediates wider than
+    # target.  Only dead branches are cut, so a True answer is still a chain
     # found by search, and no closed form is consulted: this stays the oracle.
-    if len(top) == len(target):
-        answer = top == target
+    floor = target[0]
+    first = _first_child(top, floor)
+    if len(top) == len(target) + 1:
+        answer = first == target or target in _iter_children(top, floor)
     else:
-        floor = target[0]
-        first = _first_child(top, floor)
         answer = False
         if first is not None:
             answer = memo.get(first)
@@ -105,21 +113,28 @@ def dominates_oracle(lam: Sequence[int], mu: Sequence[int]) -> bool:
     space finite (entries stay bounded by lam[0] - lam[-1]); those narrower
     in spread than mu are never generated.  Shifting either argument does not
     change the answer.  A wider mu yields False.  A width gap past
-    MAX_CHAIN_DEPTH raises ValueError.  Answers are memoized per mu, for
-    the life of the process.
+    MAX_CHAIN_DEPTH raises ValueError.  The answers of the intermediates
+    wider than mu are memoized per mu, for the life of the process; a pair
+    answered without a search (a wider or equal-width mu, a lam narrower in
+    spread than mu, a refused gap) leaves no entry.
     """
     target = canonicalize(mu)
-    return _oracle_column(target, [canonicalize(lam)], _ORACLE_MEMOS.setdefault(target, {}))[0]
+    memo = _ORACLE_MEMOS.get(target) or {}
+    answer = _oracle_column(target, [canonicalize(lam)], memo)[0]
+    if memo:
+        _ORACLE_MEMOS[target] = memo
+    return answer
 
 
 def _oracle_column(target: ShiftClass, tops: list[ShiftClass], memo: dict[ShiftClass, bool]) -> list[bool]:
     # whether each top dominates target, for a nonempty list of canonical tops
     # of one width, with the caller's memo for target: the width checks are
-    # made once, and each top gets the spread test and the memoized search in
-    # order, so the memo holds the intermediates of one search per top
+    # made once, a top no wider than target dominates it only by being it,
+    # and a wider top gets the spread test and the memoized search in order,
+    # so the memo holds the intermediates of one search per top
     gap = len(tops[0]) - len(target)
-    if gap < 0:
-        return [False] * len(tops)
+    if gap <= 0:
+        return [top == target for top in tops]
     if gap > MAX_CHAIN_DEPTH:
         raise ValueError(
             f"the chain oracle searches width gaps up to MAX_CHAIN_DEPTH = {MAX_CHAIN_DEPTH}, "

@@ -365,6 +365,8 @@ def _partial_order_violations(items, rows: list[int], render, bad: _Collector) -
 
 def _code_grid(grid: dict) -> tuple[list[ExtSequence], list[ClsCode]]:
     """The grid's sequences and every code built from two of them, in canonical order."""
+    if grid["max_entry"] < 0:  # the head range would be empty, as at max_entry 0
+        raise ValueError(f"grid value 'max_entry' must be >= 0, got {grid['max_entry']}")
     seqs = []
     for inf_count in range(grid["max_inf"] + 1):
         for tail in range(grid["max_tail"] + 1):
