@@ -483,6 +483,11 @@ def test_verify_refusals_print_one_error_line(capsys, tmp_path):
         path = tmp_path / f"chains{chains}.json"
         path.write_text(json.dumps({"suites": {"acc": {**DEFAULT_GRIDS["acc"], "chains": chains}}}))
         cases.append((["verify", "acc", "--grid-file", str(path)], f"grid value 'chains' must be >= 0, got {chains}\n"))
+    # a negative max_entry used to run the max_entry 0 grid and echo the value
+    for suite in ("tiap-order", "code-slack"):
+        path = tmp_path / f"{suite}-negative.json"
+        path.write_text(json.dumps({"suites": {suite: {**DEFAULT_GRIDS[suite], "max_entry": -5}}}))
+        cases.append((["verify", suite, "--grid-file", str(path)], "grid value 'max_entry' must be >= 0, got -5\n"))
     for argv, reason in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (argv, err)

@@ -436,10 +436,12 @@ def test_a_fault_in_the_gap_kernel_reaches_the_routes_and_the_suite(monkeypatch)
 
 
 def test_cold_suites_memoize_the_parents_pairs(monkeypatch):
-    # the memos a suite passes to the search hold, summed, the same
-    # (target, intermediate) pairs as the one process-wide cache the search
-    # had before the suites scoped its memo (its misses, pinned here), and
-    # the search runs once per pair
+    # the memos a suite passes to the search hold, summed, one
+    # (target, intermediate) pair per search, and the search runs once per
+    # pair; only intermediates wider than their target are searched, so the
+    # counts are those of the one process-wide cache the search had before
+    # the suites scoped its memo (41 898, 21 944, 7 800 and 484) less its
+    # entries of the target's own width
     real = dominance._dominates
     passed = {}
     searches = 0
@@ -451,7 +453,7 @@ def test_cold_suites_memoize_the_parents_pairs(monkeypatch):
         return real(top, target, memo)
 
     monkeypatch.setattr(dominance, "_dominates", recording)
-    for suite, pairs in (("pmain", 41_898), ("lgts2", 21_944), ("interlace", 7_800), ("lemmas", 484)):
+    for suite, pairs in (("pmain", 41_894), ("lgts2", 21_940), ("interlace", 3_525), ("lemmas", 479)):
         passed.clear()
         searches = 0
         assert run_suite(suite).failed == 0
@@ -534,7 +536,10 @@ def test_oracle_memory_stays_flat_in_the_spread():
 
 def test_first_child_probe_keeps_the_search_space():
     # probing the first child before starting the enumerator changes neither
-    # the answer nor the intermediates, and their answers, a cold search memoizes
+    # the answer nor the intermediates, and their answers, a cold search
+    # memoizes; the reference memoizes every class it visits, while the
+    # oracle scans the last width step's children for mu without memoizing
+    # them, so only the reference's classes wider than mu are compared
     classes = all_classes(6, 4)
     for lam in classes:
         for mu in classes:
@@ -544,7 +549,37 @@ def test_first_child_probe_keeps_the_search_space():
             reference = {}
             answer = dominates_oracle(lam, mu)
             assert answer == _dominates_by_enumerator(lam, mu, reference), (lam, mu)
-            assert table == {mu: reference}, (lam, mu)
+            wider = {top: known for top, known in reference.items() if len(top) > len(mu)}
+            assert table == ({mu: wider} if wider else {}), (lam, mu)
+
+
+def test_the_last_width_step_is_a_child_scan():
+    # a top one width above its target dominates it exactly when the target
+    # is one of its children, and no memo holds a class of its target's width
+    table = cold_oracle_table()
+    for width in range(2, 7):
+        targets = enumerate_classes(width - 1, 4)
+        for top in enumerate_classes(width, 4):
+            children = gt_children(top)
+            for target in targets:
+                assert dominates_oracle(top, target) == (target in children), (top, target)
+    assert table and all(len(top) > len(target) for target, memo in table.items() for top in memo)
+
+
+def test_pairs_answered_without_a_search_leave_no_memo():
+    # a wider mu, an equal-width pair, a lam narrower in spread than mu and a
+    # refused width gap are answered before any search, and a per-target memo
+    # kept for them would stay empty for the life of the process
+    table = cold_oracle_table()
+    assert dominates_oracle((2, 0), (2, 1, 0)) is False
+    assert dominates_oracle((3, 1, 0), (3, 1, 0)) is True
+    assert dominates_oracle((3, 2, 0), (3, 1, 0)) is False
+    assert dominates_oracle((1, 1, 0), (2, 0)) is False
+    with pytest.raises(ValueError, match="MAX_CHAIN_DEPTH"):
+        dominates_oracle((1,) + (0,) * (MAX_CHAIN_DEPTH + 2), (1, 0))
+    assert table == {}
+    assert dominates_oracle((3, 1, 0), (2, 0)) is True
+    assert list(table) == [(2, 0)] and table[2, 0]
 
 
 def test_oracle_memory_stays_flat_in_the_first_span():
