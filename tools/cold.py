@@ -54,34 +54,45 @@ sys.exit(code)
 """
 
 
+def run_pinned(src: Path, child: str, args: list[str], cpu: int, stdout=subprocess.DEVNULL):
+    """(report, exit code, rusage) of the Python code CHILD run once in a fresh interpreter.
+
+    The child is a new ``python3`` with SRC first on its ``PYTHONPATH``,
+    pinned to CPU before the interpreter starts; its ``sys.argv`` is the
+    write end of a pipe, then ARGS.  The report is what it wrote to the pipe.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    process = subprocess.Popen(
+        [sys.executable, "-c", child, str(write), *args],
+        stdout=stdout, stderr=subprocess.DEVNULL, env=env, pass_fds=(write,),
+        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
+    )
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        reported = pipe.read()
+    _, status, usage = os.wait4(process.pid, 0)
+    process.returncode = os.waitstatus_to_exitcode(status)
+    return reported, process.returncode, usage
+
+
 def run_once(src: Path, argv: list[str], cpu: int) -> tuple[float, float, float, float, int, str]:
     """(cli.main CPU s, CPU s before main, child CPU s, child peak RSS MB, exit code, stdout sha256) of one fresh run.
 
     Only the digest of stdout is kept: the child is forked from this process,
     and its peak RSS counts this process's size at the fork.
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    read, write = os.pipe()
     with tempfile.TemporaryFile() as out:
-        child = subprocess.Popen(
-            [sys.executable, "-c", CHILD, str(write), *argv],
-            stdout=out, stderr=subprocess.DEVNULL, env=env, pass_fds=(write,),
-            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-        )
-        os.close(write)
-        _, status, usage = os.wait4(child.pid, 0)
-        child.returncode = os.waitstatus_to_exitcode(status)
-        with os.fdopen(read, "rb") as timing:
-            reported = timing.read()
+        reported, code, usage = run_pinned(src, CHILD, argv, cpu, stdout=out)
         out.seek(0)
         digest = hashlib.sha256()
         for chunk in iter(lambda: out.read(1 << 16), b""):  # in chunks, so this process stays small
             digest.update(chunk)
     if not reported:
-        raise RuntimeError(f"the child exited {child.returncode} without timing cli.main")
+        raise RuntimeError(f"the child exited {code} without timing cli.main")
     before_s, main_s = map(float, reported.split())
     cpu_s = usage.ru_utime + usage.ru_stime
-    return main_s, before_s, cpu_s, usage.ru_maxrss / 1024, child.returncode, digest.hexdigest()
+    return main_s, before_s, cpu_s, usage.ru_maxrss / 1024, code, digest.hexdigest()
 
 
 def main(args: list[str]) -> int:

@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/session.py [--src DIR]... [--seed S]... [--runs N] [--queries N]
+    python3 tools/session.py [--src DIR]... [--seed S]... [--runs N]
 
 For example, to compare a parent checkout with this one on 24 sessions:
 
@@ -10,27 +10,28 @@ For example, to compare a parent checkout with this one on 24 sessions:
         $(for i in $(seq 0 23); do echo --seed 555:$i; done)
 
 A session is the one that ``perfbench/run.py --workload queries`` runs as
-seed S (``<run seed>:<session index>``, default ``1:0``): its query stream
-comes from ``perfbench/workloads.py`` and is turned into library objects by
-``perfbench/worker.py``'s ``_materialize``, and it is answered in one
-process, one query at a time, each timed with ``time.process_time_ns`` as
-the worker times it.  Each replay starts a new ``python3`` with DIR (default
-``src``) first on its ``PYTHONPATH``, pinned with ``os.sched_setaffinity``
-to the last CPU this process may run on, before the interpreter starts.
-The runs go round by round: in each round every seed, and for each seed one
-run per DIR in the order given, so a drift of the machine's speed reaches
-every DIR alike.  A ``gc.callbacks`` hook notes the query kind running when
-each generation-2 (full) collection of the timed loop starts, and how long
-the collection took.  For each DIR the script prints, over all its replays:
+seed S (``<run seed>:<session index>``, default ``1:0``): each replay calls
+``perfbench/worker.py``'s own ``run_session`` on it, so the stream, the
+timed loop and the checks of the answers are the benchmark's.  The worker
+is given a probe in place of its tracer: the probe notes the kind of the
+query it last began, and a ``gc.callbacks`` hook notes that kind, and how
+long the collection took, for each generation-2 (full) collection from the
+first query to the end of the loop.  Each replay runs in a new interpreter
+started as ``tools/cold.py`` starts it: DIR (default ``src``) first on its
+``PYTHONPATH``, pinned to the last CPU this process may run on.  The runs go
+round by round: in each round every seed, and for each seed one run per DIR
+in the order given, so a drift of the machine's speed reaches every DIR
+alike.  For each DIR the script prints, over all its replays:
 
 - each query kind's latency sum in ms, median and min, and the
   ``dominance_s`` and ``order_s`` sums as perfbench groups the kinds;
-- the entries and targets of ``dominance._ORACLE_MEMOS`` after the loop,
-  and how many targets hold an empty memo;
+- the entries and targets of ``dominance._ORACLE_MEMOS`` at the end of the
+  loop, and how many targets hold an empty memo;
 - how many full collections landed in each query kind, and their ms.
 
-It exits 1 if two replays of one seed answer differently, within one DIR or
-across them, else 0.
+It exits 1 if a replay fails the worker's checks of its answers (a query
+raised, or an answer disagrees with its second route), or if two replays of
+one seed count different true answers of some kind; else 0.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+from cold import run_pinned
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))  # the benchmark's own modules, read and never edited
@@ -51,65 +53,56 @@ from run import SESSION_QUERIES
 from workloads import DOMINANCE_KINDS, ORDER_KINDS, QUERY_MIX
 
 CHILD = """
-import gc, hashlib, json, os, sys, time
+import gc, json, os, sys, time
 sys.path.insert(0, sys.argv[2])
-import slinf, workloads, worker
+import worker
 from slinf import dominance
-stream = workloads.query_stream(sys.argv[3], int(sys.argv[4]))
-queries = worker._materialize(stream)
-functions = {kind: getattr(slinf, kind) for kind, _ in workloads.QUERY_MIX}
-current, started, landed = [None], [0], []
+
+class Probe:
+    kind = None
+
+    def begin(self, kind):
+        self.kind = kind
+
+    def end(self):
+        pass
+
+    def uninstall(self):  # run_session calls it after the loop, before it checks the answers
+        gc.callbacks.remove(watch)
+        memos = dominance._ORACLE_MEMOS
+        self.figures = {
+            "memo_entries": sum(map(len, memos.values())),
+            "memo_targets": len(memos),
+            "empty_memos": sum(not memo for memo in memos.values()),
+        }
+
+probe, started, landed = Probe(), [0], []
 
 def watch(phase, info):
-    if info["generation"] == 2:
+    if info["generation"] == 2 and probe.kind is not None:
         if phase == "start":
             started[0] = time.perf_counter_ns()
         else:
-            landed.append((current[0], (time.perf_counter_ns() - started[0]) / 1e6))
+            landed.append((probe.kind, (time.perf_counter_ns() - started[0]) / 1e6))
 
-latencies = [0] * len(queries)
-answers = [None] * len(queries)
-clock = time.process_time_ns
 gc.callbacks.append(watch)
-for i, (kind, args) in enumerate(queries):
-    fn = functions[kind]
-    current[0] = kind
-    t0 = clock()
-    try:
-        answers[i] = fn(*args)
-    except Exception as exc:
-        answers[i] = type(exc).__name__
-    latencies[i] = clock() - t0
-gc.callbacks.remove(watch)
-sums = dict.fromkeys(functions, 0)
-for (kind, _), ns in zip(queries, latencies):
-    sums[kind] += ns
-memos = dominance._ORACLE_MEMOS
+out = worker.run_session({"seed": sys.argv[3], "n": int(sys.argv[4])}, probe)
+per_kind = out["result"]["per_kind"]
 os.write(int(sys.argv[1]), json.dumps({
-    "sum_ms": {kind: ns / 1e6 for kind, ns in sums.items()},
-    "memo_entries": sum(map(len, memos.values())),
-    "memo_targets": len(memos),
-    "empty_memos": sum(not memo for memo in memos.values()),
+    "sum_ms": {kind: entry["sum_ns"] / 1e6 for kind, entry in per_kind.items()},
+    "true": {kind: entry["true"] for kind, entry in per_kind.items()},
+    "failed": out["errors"] + len(out["result"]["mismatches"]),
     "gc": landed,
-    "answers": hashlib.sha256(repr(answers).encode()).hexdigest(),
+    **probe.figures,
 }).encode())
 """
 
 
-def run_once(src: Path, seed: str, queries: int, cpu: int) -> dict:
-    """The figures of one replay of one session, read back through a pipe."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    read, write = os.pipe()
-    child = subprocess.Popen(
-        [sys.executable, "-c", CHILD, str(write), str(PERFBENCH), seed, str(queries)],
-        stdout=subprocess.DEVNULL, env=env, pass_fds=(write,),
-        preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-    )
-    os.close(write)
-    with os.fdopen(read, "rb") as pipe:
-        reported = pipe.read()
-    if child.wait() or not reported:
-        raise RuntimeError(f"the replay of session {seed} under {src} exited {child.returncode}")
+def run_once(src: Path, seed: str, cpu: int) -> dict:
+    """The figures of one replay of one session."""
+    reported, code, _ = run_pinned(src, CHILD, [str(PERFBENCH), seed, str(SESSION_QUERIES)], cpu)
+    if code or not reported:
+        raise RuntimeError(f"the replay of session {seed} under {src} exited {code}")
     return json.loads(reported)
 
 
@@ -120,24 +113,26 @@ def main(args: list[str]) -> int:
     )
     parser.add_argument("--seed", action="append", help="session seed as perfbench names it (default 1:0); repeatable")
     parser.add_argument("--runs", type=int, default=3, help="rounds: replays per seed and directory")
-    parser.add_argument("--queries", type=int, default=SESSION_QUERIES, help="queries per session")
     options = parser.parse_args(args)
     sources, seeds = options.src or [Path("src")], options.seed or ["1:0"]
-    if options.runs < 1 or options.queries < 1:
-        parser.error("give --runs >= 1 and --queries >= 1")
+    if options.runs < 1:
+        parser.error("give --runs >= 1")
     for src in sources:
         if not (src / "slinf" / "dominance.py").is_file():
             parser.error(f"no slinf package under {src}")
     cpu = max(os.sched_getaffinity(0))
     replays = {src: [] for src in sources}
-    answers = {seed: set() for seed in seeds}
+    trues = {seed: set() for seed in seeds}
+    failed = set()
     for _ in range(options.runs):
         for seed in seeds:
             for src in sources:
-                figures = run_once(src.resolve(), seed, options.queries, cpu)
+                figures = run_once(src.resolve(), seed, cpu)
                 replays[src].append(figures)
-                answers[seed].add(figures["answers"])
-    print(f"sessions: {' '.join(seeds)}  queries: {options.queries}")
+                trues[seed].add(json.dumps(figures["true"], sort_keys=True))
+                if figures["failed"]:
+                    failed.add(seed)
+    print(f"sessions: {' '.join(seeds)}  queries: {SESSION_QUERIES}")
     print(f"runs: {options.runs} per seed and src, round by round  cpu: {cpu}")
     for src, runs in replays.items():
         print(f"src: {src}")
@@ -155,7 +150,7 @@ def main(args: list[str]) -> int:
         for kind, count in counts.most_common():
             ms = [m for k, m in landed if k == kind]
             print(f"    in {kind}: {count}, median {statistics.median(ms):.1f} ms")
-    differ = [seed for seed, digests in answers.items() if len(digests) > 1]
+    differ = sorted(failed | {seed for seed, counts in trues.items() if len(counts) > 1})
     print(f"answers: {'differ on ' + ' '.join(differ) if differ else 'identical'}")
     return 1 if differ else 0
 
