@@ -19,8 +19,10 @@ True answer is still witnessed by an explicit chain and the suites that
 replay the oracle still compare two independent routes.
 
 At the last width step a child reaches mu only by being it, so the search
-scans that step's children for mu: it neither searches nor memoizes them,
-and a top of mu's own width is answered by equality.
+asks whether mu lies in one of the span boxes whose products the enumerator
+yields, box by box: membership in the enumerator's own product, with no
+child built, searched or memoized.  A top of mu's own width is answered by
+equality.
 
 The search memoizes per target: it takes a dict from intermediates wider
 than mu to their answers against mu, and the caller chooses how long that
@@ -41,10 +43,10 @@ oracle's kernel also takes the memo for its target.
 The chain oracle and the gap criterion have one kernel each, a column: the
 answers of one lam against a list of mus of one width.  The checks that read
 only the widths, refusals included, run once per column, and a per-pair
-caller asks for a column of one.  The verify suites validate each grid class
-once and call the same kernels, so a pair costs no validation and the suites
-replay the code that the public predicates run; wrappers set on the public
-names see no suite pairs.
+caller asks for a column of one.  The verify suites validate each block of
+grid classes once and call the same kernels, so a pair costs no validation
+and the suites replay the code that the public predicates run; wrappers set
+on the public names see no suite pairs.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 from operator import sub
 from typing import Sequence
 
-from .partitions import ShiftClass, ZPartition, _first_child, _iter_children, as_zpartition, canonicalize
+from .partitions import ShiftClass, ZPartition, _first_child, _is_child, _iter_children, as_zpartition, canonicalize
 
 
 # The search recurses once per width step, at one interpreter frame a step
@@ -81,14 +83,15 @@ def _dominates(top: ShiftClass, target: ShiftClass, memo: dict[ShiftClass, bool]
     # narrower targets first; the generator yields it again as one memo hit,
     # so the order and the memoized intermediates are those of the enumerator
     # alone.  At the last width step a child reaches target only by being
-    # it, so the children are scanned for target, and none of them is
-    # searched or memoized: the memo holds only intermediates wider than
-    # target.  Only dead branches are cut, so a True answer is still a chain
-    # found by search, and no closed form is consulted: this stays the oracle.
+    # it, so target is tested for membership in the enumerator's span boxes
+    # (_is_child), and no child is built, searched or memoized: the memo
+    # holds only intermediates wider than target.  Only dead branches are
+    # cut, so a True answer is still a chain found by search, and no closed
+    # form is consulted: this stays the oracle.
     floor = target[0]
     first = _first_child(top, floor)
     if len(top) == len(target) + 1:
-        answer = first == target or target in _iter_children(top, floor)
+        answer = first == target or _is_child(top, floor, target)
     else:
         answer = False
         if first is not None:

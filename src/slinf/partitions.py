@@ -16,8 +16,8 @@ overflow.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement, product
-from operator import attrgetter
+from itertools import chain, combinations_with_replacement, product, repeat, starmap
+from operator import add, attrgetter, contains
 from typing import Iterator, Sequence
 
 ZPartition = tuple[int, ...]
@@ -143,35 +143,48 @@ def is_canonical(lam: Sequence[int]) -> bool:
     return as_zpartition(lam)[-1] == 0
 
 
-def _iter_children(lam: ShiftClass, floor: int = 0) -> Iterator[ShiftClass]:
-    # The canonical children of lam with first entry >= floor, generated
-    # lazily; lam is canonical with width >= 2.  Every child class has a
+def _child_boxes(lam: ShiftClass, floor: int = 0) -> Iterator[tuple]:
+    # The canonical children of lam with first entry >= floor, as one box of
+    # spans per shift d: each child is one tuple of the product of a box, and
+    # lam is canonical with width >= 2.  Every child class has a
     # representative m with lam[i] >= m[i] >= lam[i + 1] (the shift D
     # absorbed into m), so generating all such m and canonicalizing is
     # exhaustive.  Canonicalizing an m with last entry d subtracts d, so the
     # canonical children ending that way are the tuples with
-    # lam[i + 1] - d <= m[i] <= lam[i] - d, followed by 0.  The floor only
-    # narrows the first span, and no d past lam[0] - floor leaves it nonempty.
-    # Shifts run from the largest down, which lets the chain search reach its
-    # targets through about 6 % fewer intermediates than the other way.  A
-    # class can come up under two shifts d (under 0.1 % of the yields at
-    # widths 3-10), so a caller that needs each child once collects a set.
-    # _first_child mirrors the first yield without starting the generator;
-    # tests/test_partitions.py pins the two together.
+    # lam[i + 1] - d <= m[i] <= lam[i] - d, followed by 0: the box
+    # (first span, *inner spans, (0,)).  The floor only narrows the first
+    # span, and no d past lam[0] - floor leaves it nonempty.  Shifts run from
+    # the largest down, which lets the chain search reach its targets through
+    # about 6 % fewer intermediates than the other way.  A class can lie in
+    # two boxes (under 0.1 % of the yields at widths 3-10), so a caller that
+    # needs each child once collects a set.
     if len(lam) == 2:  # every shift d gives the one width-1 class
         if floor <= 0:
-            yield (0,)
+            yield ((0,),)
         return
     for d in range(min(lam[-2], lam[0] - floor), -1, -1):
         first = range(max(lam[1] - d, floor), lam[0] - d + 1)
-        spans = [range(lam[i + 1] - d, lam[i] - d + 1) for i in range(1, len(lam) - 2)]
-        yield from product(first, *spans, (0,))
+        yield (first, *[range(lam[i + 1] - d, lam[i] - d + 1) for i in range(1, len(lam) - 2)], (0,))
+
+
+def _iter_children(lam: ShiftClass, floor: int = 0) -> Iterator[ShiftClass]:
+    # The children of _child_boxes, box by box, each box's product in order,
+    # made lazily and without a Python frame per child.  _first_child mirrors
+    # the first of them without building a box; tests/test_partitions.py pins
+    # the two together.
+    return chain.from_iterable(starmap(product, _child_boxes(lam, floor)))
+
+
+def _is_child(lam: ShiftClass, floor: int, target: ShiftClass) -> bool:
+    # target in _iter_children(lam, floor), for a target one width below lam,
+    # tested one box at a time: target lies in a box iff each entry lies in
+    # its span, so no child is built
+    return any(all(map(contains, box, target)) for box in _child_boxes(lam, floor))
 
 
 def _first_child(lam: ShiftClass, floor: int) -> ShiftClass | None:
     # next(_iter_children(lam, floor), None) as one tuple: the lowest corner
-    # of the largest shift's spans, or None when no shift leaves the first
-    # span nonempty.
+    # of the first box of _child_boxes, or None when there is no box.
     if len(lam) == 2:
         return (0,) if floor <= 0 else None
     top = lam[0] - floor
@@ -202,14 +215,18 @@ def enumerate_classes(width: int, entry_bound: int) -> list[ShiftClass]:
     """All canonical shift classes of a width with first entry <= entry_bound.
 
     Sorted; the count equals the number of partitions with at most
-    width - 1 positive parts, each at most entry_bound.
+    width - 1 positive parts, each at most entry_bound.  No sort is needed:
+    the combinations of the descending range entry_bound..0 come as the
+    nonincreasing tuples in descending order, so their reverse is sorted.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
     if entry_bound < 0:
         raise ValueError("entry_bound must be >= 0")
     combos = combinations_with_replacement(range(entry_bound, -1, -1), width - 1)
-    return sorted(t + (0,) for t in combos)
+    classes = list(map(add, combos, repeat((0,))))
+    classes.reverse()
+    return classes
 
 
 def class_count(width: int, entry_bound: int, cap: int) -> int:

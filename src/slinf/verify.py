@@ -14,8 +14,8 @@ import json
 import random
 from collections import Counter
 from importlib import resources
-from itertools import combinations_with_replacement, islice
-from operator import attrgetter
+from itertools import chain, combinations_with_replacement, islice
+from operator import attrgetter, ge
 from pathlib import Path
 
 from .cls_codes import (
@@ -52,7 +52,6 @@ from .partitions import (
     _fields_eq,
     as_array,
     as_int,
-    canonicalize,
     class_count,
     enumerate_classes,
     fields_repr,
@@ -168,6 +167,11 @@ def run_suite(name: str, overrides: dict | None = None, config: dict | None = No
         raise UnknownSuiteError(f"unknown suite {name!r}; known suites: {', '.join(sorted(_SUITES))}")
     cfg = config if config is not None else load_grid_config()
     grid = {**_grid_of(cfg, name), **(overrides or {})}
+    # a key the packaged grid lacks would be echoed in the report as if applied
+    keys = {*_grid_of(load_grid_config() if config is not None else cfg, name), "ceiling"}
+    for key in grid:
+        if key not in keys:
+            raise ValueError(f"suite {name!r} takes no grid key {key!r}; its keys are {', '.join(sorted(keys))}")
     for key, value in grid.items():
         # every grid value is an integer, except mu_widths, an array of integers
         for v in as_array(value, key) if key == "mu_widths" else (value,):
@@ -198,17 +202,32 @@ def suite_names() -> list[str]:
 # ---------------------------------------------------------------------------
 # dominance suites
 #
-# Each suite validates every enumerated class once, with canonicalize, and
-# replays the predicates through their kernels, which take validated
-# canonical tuples and keep only the checks relating the pair.  The agreement
+# Each suite validates every block of enumerated classes once, column by
+# column, and replays the predicates through their kernels, which take
+# validated canonical tuples and keep only the checks relating the pair.  The agreement
 # suites ask for a column of answers per lam and mu width, the others ask
 # pair by pair.  Each suite holds the chain oracle's memos, one per target,
 # for as long as it asks that target, and leaves none behind.
 
 
 def _classes(width: int, bound: int) -> list[ShiftClass]:
-    """enumerate_classes, every class validated as a canonical Z-partition."""
-    return [canonicalize(c) for c in enumerate_classes(width, bound)]
+    """enumerate_classes, checked as one block of canonical Z-partitions of the width, else ValueError.
+
+    The checks read the block's columns: every class is a tuple of the
+    width, every entry is exactly an int, each column is >= the next entry
+    by entry, and the last column is all 0.
+    """
+    classes = enumerate_classes(width, bound)
+    columns = list(zip(*classes))
+    if not (
+        set(map(type, classes)) == {tuple}
+        and set(map(len, classes)) == {width}
+        and set(map(type, chain.from_iterable(columns))) == {int}
+        and all(all(map(ge, a, b)) for a, b in zip(columns, columns[1:]))
+        and not any(columns[-1])
+    ):
+        raise ValueError(f"enumerate_classes({width}, {bound}) gave a class that is not a canonical Z-partition of width {width}")
+    return classes
 
 
 def _agreement_suite(suite: str, first: str, first_column, second: str, second_column):

@@ -488,10 +488,16 @@ def test_verify_refusals_print_one_error_line(capsys, tmp_path):
         path = tmp_path / f"{suite}-negative.json"
         path.write_text(json.dumps({"suites": {suite: {**DEFAULT_GRIDS[suite], "max_entry": -5}}}))
         cases.append((["verify", suite, "--grid-file", str(path)], "grid value 'max_entry' must be >= 0, got -5\n"))
+    # a misspelled key, in a grid file or an override, used to exit 0 and echo the typo in the report
+    path = tmp_path / "tiap-order-typo.json"
+    path.write_text(json.dumps({"suites": {"tiap-order": {**DEFAULT_GRIDS["tiap-order"], "max_entyr": 4}}}))
+    cases.append((["verify", "tiap-order", "--grid-file", str(path)], "takes no grid key 'max_entyr'; its keys are "))
     for argv, reason in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert reason in err, err
+    with pytest.raises(ValueError, match="^suite 'tiap-order' takes no grid key 'max_entrY'; its keys are ceiling, "):
+        verify.run_suite("tiap-order", {"max_entrY": 9})
 
 
 @pytest.mark.parametrize(

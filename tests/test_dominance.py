@@ -435,13 +435,11 @@ def test_a_fault_in_the_gap_kernel_reaches_the_routes_and_the_suite(monkeypatch)
     assert after[0] is False and after[1] > 0
 
 
-def test_cold_suites_memoize_the_parents_pairs(monkeypatch):
+def test_cold_suites_search_once_per_memo_entry(monkeypatch):
     # the memos a suite passes to the search hold, summed, one
-    # (target, intermediate) pair per search, and the search runs once per
-    # pair; only intermediates wider than their target are searched, so the
-    # counts are those of the one process-wide cache the search had before
-    # the suites scoped its memo (41 898, 21 944, 7 800 and 484) less its
-    # entries of the target's own width
+    # (target, intermediate) entry per search, and the search runs once per
+    # entry; the entries are the intermediates wider than their target, since
+    # the last width step tests membership in the children without a search
     real = dominance._dominates
     passed = {}
     searches = 0
@@ -583,27 +581,38 @@ def test_oracle_memory_stays_flat_in_the_first_span():
     assert peak < 1 << 20, peak
 
 
-def test_dominance_suites_validate_each_class_once(monkeypatch):
-    # the suites replay the kernels on classes validated up front, so the
-    # validations grow with the classes, not with the pairs
-    calls = 0
-    real = partitions.as_zpartition
+BAD_CLASSES = {
+    # each breaks one check of a class block and passes the others
+    "float entry": lambda c: (float(c[0]), *c[1:]),
+    "True entry": lambda c: (True, *[0] * (len(c) - 1)),
+    "increasing": lambda c: (-1, *[0] * (len(c) - 1)),
+    "nonzero last entry": lambda c: (1,) * len(c),
+    "one entry short": lambda c: (*c[:-2], 0),
+    "a list": list,
+}
 
-    def counting(entries):
-        nonlocal calls
-        calls += 1
-        return real(entries)
 
-    modules = [slinf] + [importlib.import_module(f"slinf.{info.name}")
-                         for info in pkgutil.iter_modules(slinf.__path__) if info.name != "__main__"]
-    for module in modules:
-        if getattr(module, "as_zpartition", None) is real:
-            monkeypatch.setattr(module, "as_zpartition", counting)
-    for suite in ("pmain", "lgts2"):
-        calls = 0
-        report = run_suite(suite)
-        classes = report.details["lam_classes"] + report.details["mu_classes"]
-        assert report.failed == 0 and calls <= classes + 10, (suite, calls, classes)
+@pytest.mark.parametrize("case", list(BAD_CLASSES))
+def test_dominance_suites_refuse_a_bad_class_block(monkeypatch, capsys, case):
+    # the suites check each block of enumerated classes once, by columns, and
+    # the kernels take the classes as they are: a block with one class that
+    # is not a canonical Z-partition of the block's width is refused, not
+    # canonicalized away or read past its end
+    real = partitions.enumerate_classes
+
+    def with_one_bad_class(width, bound):
+        classes = real(width, bound)
+        if width >= 2:
+            classes[len(classes) // 2] = BAD_CLASSES[case](classes[len(classes) // 2])
+        return classes
+
+    monkeypatch.setattr("slinf.verify.enumerate_classes", with_one_bad_class)
+    for suite in ("pmain", "lgts2", "interlace", "lemmas"):
+        with pytest.raises(ValueError, match="not a canonical Z-partition"):
+            run_suite(suite)
+        code = main(["verify", suite])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, (suite, err)
 
 
 def test_chain_depth_limit_refuses_wider_gaps():

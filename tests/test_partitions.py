@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from slinf.dominance import dominates_oracle, is_gt_step
 from slinf.partitions import (
     _first_child,
+    _is_child,
     _iter_children,
     as_young_diagram,
     as_zpartition,
@@ -65,6 +67,49 @@ def test_gt_children_examples():
     assert gt_children((1, 0)) == frozenset({(0,)})
     assert gt_children((2, 0, 0)) == frozenset({(0, 0), (1, 0), (2, 0)})
     assert gt_children((0, 0)) == frozenset({(0,)})
+
+
+def reference_children(lam, floor=0):
+    # _iter_children as a generator of one product per shift, before the
+    # span boxes: the order of its yields is the one the chain search keeps
+    if len(lam) == 2:
+        if floor <= 0:
+            yield (0,)
+        return
+    for d in range(min(lam[-2], lam[0] - floor), -1, -1):
+        first = range(max(lam[1] - d, floor), lam[0] - d + 1)
+        spans = [range(lam[i + 1] - d, lam[i] - d + 1) for i in range(1, len(lam) - 2)]
+        yield from product(first, *spans, (0,))
+
+
+def reference_classes(width, entry_bound):
+    # enumerate_classes as a sort of the combinations, before it read their order
+    combos = combinations_with_replacement(range(entry_bound, -1, -1), width - 1)
+    return sorted(t + (0,) for t in combos)
+
+
+def test_iter_children_keeps_the_reference_order():
+    for width in range(2, 9):
+        for lam in enumerate_classes(width, 5):
+            for floor in range(lam[0] + 2):
+                assert list(_iter_children(lam, floor)) == list(reference_children(lam, floor)), (lam, floor)
+
+
+def test_is_child_is_membership_in_the_children():
+    # every canonical target one width down whose first entry lam's children can reach
+    for width in range(2, 7):
+        for lam in enumerate_classes(width, 4):
+            targets = enumerate_classes(width - 1, lam[0])
+            for floor in range(lam[0] + 2):
+                children = set(reference_children(lam, floor))
+                for target in targets:
+                    assert _is_child(lam, floor, target) == (target in children), (lam, floor, target)
+
+
+def test_enumerate_classes_keeps_the_sorted_order():
+    for width in range(1, 11):
+        for bound in range(8):
+            assert enumerate_classes(width, bound) == reference_classes(width, bound), (width, bound)
 
 
 def test_iter_children_yields_the_children_above_its_floor():
