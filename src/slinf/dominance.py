@@ -59,7 +59,7 @@ from .partitions import ShiftClass, ZPartition, _first_child, _is_child, _iter_c
 
 # The search recurses once per width step, at one interpreter frame a step
 # (_dominates, from the first-child probe or from the loop; the children
-# generator is off the stack while they recurse), so it refuses width gaps
+# iterator is off the stack while they recurse), so it refuses width gaps
 # past this: about a quarter of the default recursion limit of 1000 frames,
 # which leaves the rest to its callers.
 MAX_CHAIN_DEPTH = 240
@@ -78,9 +78,9 @@ def _dominates(top: ShiftClass, target: ShiftClass, memo: dict[ShiftClass, bool]
     # twice is searched once.  A child never outgrows its parent's spread,
     # so a child narrower in spread than target has no chain down to it and
     # is never generated; every child generated satisfies the invariant.  The
-    # enumerator's first child is tried before the generator starts, and it
+    # enumerator's first child is tried before the enumerator starts, and it
     # is almost always in the memo already, because the suites search
-    # narrower targets first; the generator yields it again as one memo hit,
+    # narrower targets first; the enumerator yields it again as one memo hit,
     # so the order and the memoized intermediates are those of the enumerator
     # alone.  At the last width step a child reaches target only by being
     # it, so target is tested for membership in the enumerator's span boxes

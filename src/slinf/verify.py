@@ -204,10 +204,10 @@ def suite_names() -> list[str]:
 #
 # Each suite validates every block of enumerated classes once, column by
 # column, and replays the predicates through their kernels, which take
-# validated canonical tuples and keep only the checks relating the pair.  The agreement
-# suites ask for a column of answers per lam and mu width, the others ask
-# pair by pair.  Each suite holds the chain oracle's memos, one per target,
-# for as long as it asks that target, and leaves none behind.
+# validated canonical tuples and keep only the checks relating the pair.
+# The agreement suites ask for a column of answers per lam and mu width, the
+# others ask pair by pair.  Each suite holds the chain oracle's memos, one
+# per target, for as long as it asks that target, and leaves none behind.
 
 
 def _classes(width: int, bound: int) -> list[ShiftClass]:
@@ -226,7 +226,7 @@ def _classes(width: int, bound: int) -> list[ShiftClass]:
         and all(all(map(ge, a, b)) for a, b in zip(columns, columns[1:]))
         and not any(columns[-1])
     ):
-        raise ValueError(f"enumerate_classes({width}, {bound}) gave a class that is not a canonical Z-partition of width {width}")
+        raise ValueError(f"enumerate_classes({width}, {bound}) gave a class that is not a canonical Z-partition")
     return classes
 
 

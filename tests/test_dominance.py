@@ -582,13 +582,13 @@ def test_oracle_memory_stays_flat_in_the_first_span():
 
 
 BAD_CLASSES = {
-    # each breaks one check of a class block and passes the others
-    "float entry": lambda c: (float(c[0]), *c[1:]),
-    "True entry": lambda c: (True, *[0] * (len(c) - 1)),
+    # each class is wrong in the one way that one check of a block looks for
+    "float-entry": lambda c: (float(c[0]), *c[1:]),
+    "true-entry": lambda c: (True, *[0] * (len(c) - 1)),
     "increasing": lambda c: (-1, *[0] * (len(c) - 1)),
-    "nonzero last entry": lambda c: (1,) * len(c),
-    "one entry short": lambda c: (*c[:-2], 0),
-    "a list": list,
+    "nonzero-last-entry": lambda c: (1,) * len(c),
+    "one-entry-short": lambda c: (*c[:-2], 0),
+    "list": list,
 }
 
 
